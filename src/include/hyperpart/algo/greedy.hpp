@@ -23,7 +23,8 @@ namespace hp {
 
 /// Greedy hypergraph growing into k parts. Parts are grown to weight about
 /// W/k each; the balance capacity is enforced throughout. Returns nullopt
-/// when no feasible assignment is found.
+/// when no feasible assignment is found. Runs in O(k·n + n log n) plus
+/// O(log n) per pin its picks touch (DESIGN.md, "Greedy growing").
 [[nodiscard]] std::optional<Partition> greedy_growing_partition(
     const Hypergraph& g, const BalanceConstraint& balance, CostMetric metric,
     std::uint64_t seed);

@@ -16,7 +16,8 @@ namespace hp {
 
 struct MultilevelConfig {
   CostMetric metric = CostMetric::kConnectivity;
-  /// Stop coarsening below this many nodes (scaled by k internally).
+  /// Coarsening stops once a level has at most max(coarsen_limit, 4·k)
+  /// nodes, or earlier when a round shrinks a level by less than 5%.
   NodeId coarsen_limit = 120;
   /// Independent initial-partitioning attempts on the coarsest level.
   int initial_tries = 8;

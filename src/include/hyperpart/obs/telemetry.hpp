@@ -35,6 +35,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "hyperpart/obs/json.hpp"
 
@@ -66,6 +68,10 @@ void gauge_max(const std::string& name, std::int64_t value);
 
 /// Read back a counter (0 when absent). Used by tests.
 [[nodiscard]] std::int64_t counter(const std::string& name);
+
+/// Every recorded counter whose name starts with `prefix`, in name order.
+[[nodiscard]] std::vector<std::pair<std::string, std::int64_t>>
+counters_with_prefix(const std::string& prefix);
 
 /// Read back a gauge (0 when absent). Used by tests.
 [[nodiscard]] std::int64_t gauge(const std::string& name);

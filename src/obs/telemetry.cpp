@@ -125,6 +125,18 @@ std::int64_t counter(const std::string& name) {
   return it == r.counters.end() ? 0 : it->second;
 }
 
+std::vector<std::pair<std::string, std::int64_t>> counters_with_prefix(
+    const std::string& prefix) {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  std::vector<std::pair<std::string, std::int64_t>> out;
+  for (auto it = r.counters.lower_bound(prefix);
+       it != r.counters.end() && it->first.starts_with(prefix); ++it) {
+    out.emplace_back(it->first, it->second);
+  }
+  return out;
+}
+
 std::int64_t gauge(const std::string& name) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);

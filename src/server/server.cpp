@@ -405,14 +405,11 @@ std::string Server::handle_request(const std::string& payload,
         }
       }
       out.set("sessions", json::Value(std::move(sessions)));
+      // Every server.* counter recorded so far (telemetry must be on).
       json::Value counters{json::Object{}};
-      for (const char* name :
-           {"server.cache_hits", "server.cache_misses",
-            "server.repartition.delta_fm", "server.repartition.vcycle",
-            "server.repartition.full", "server.tracker_rebuilds",
-            "server.updates", "server.structural_updates",
-            "server.tracker_patches"}) {
-        counters.set(name, hp::obs::counter(name));
+      for (const auto& [name, value] :
+           hp::obs::counters_with_prefix("server.")) {
+        counters.set(name, value);
       }
       out.set("counters", std::move(counters));
       return json::dump(out);

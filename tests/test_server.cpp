@@ -28,6 +28,7 @@
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/io/generators.hpp"
 #include "hyperpart/obs/json.hpp"
+#include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/server/protocol.hpp"
 #include "hyperpart/server/server.hpp"
 #include "hyperpart/server/session.hpp"
@@ -759,6 +760,30 @@ TEST(ServerTest, LoadPartitionUpdateRepartitionOverSocket) {
   ASSERT_TRUE(ok_of(stats)) << error_of(stats);
   EXPECT_GE(stats->find("requests_served")->as_int(), 5);
   ::close(fd);
+}
+
+TEST(ServerTest, StatsListsEveryServerCounter) {
+  // The stats op reports the registry's server.* counters, so one that no
+  // request of this test triggers — the repartition quality guard — shows
+  // up once it has been recorded, and no other subsystem's counter does.
+  obs::counter_add("server.repartition.quality_fallbacks", 1);
+  obs::counter_add("multilevel.runs", 1);
+  RunningServer rs;
+  const int fd = connect_unix(rs.sock);
+  ASSERT_GE(fd, 0);
+  const auto stats = rpc(fd, req("stats"));
+  ::close(fd);
+  ASSERT_TRUE(ok_of(stats)) << error_of(stats);
+  const json::Value* counters = stats->find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_TRUE(counters->is_object());
+  const json::Value* fallbacks =
+      counters->find("server.repartition.quality_fallbacks");
+  ASSERT_NE(fallbacks, nullptr);
+  EXPECT_GE(fallbacks->as_int(), 1);
+  for (const auto& [name, value] : counters->as_object()) {
+    EXPECT_TRUE(name.starts_with("server.")) << name;
+  }
 }
 
 TEST(ServerTest, StructuralUpdateAndVersionPinningOverSocket) {
