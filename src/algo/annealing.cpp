@@ -4,6 +4,7 @@
 
 #include "hyperpart/algo/greedy.hpp"
 #include "hyperpart/core/connectivity_tracker.hpp"
+#include "hyperpart/util/overflow.hpp"
 #include "hyperpart/util/rng.hpp"
 
 namespace hp {
@@ -29,7 +30,8 @@ std::optional<Partition> annealing_partition(const Hypergraph& g,
       const auto to = static_cast<PartId>(rng.next_below(k));
       const PartId from = tracker.part_of(v);
       if (to == from) continue;
-      if (tracker.part_weight(to) + g.node_weight(v) > balance.capacity()) {
+      if (sat_add(tracker.part_weight(to), g.node_weight(v)) >
+          balance.capacity()) {
         continue;
       }
       const Weight gain = tracker.gain(v, to, cfg.metric);

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <vector>
 
+#include "hyperpart/util/overflow.hpp"
 #include "hyperpart/util/rng.hpp"
 
 namespace hp {
@@ -24,7 +25,7 @@ std::optional<Partition> random_balanced_partition(
   for (const NodeId v : order) {
     PartId best = kInvalidPart;
     for (PartId q = 0; q < k; ++q) {
-      if (load[q] + g.node_weight(v) > balance.capacity()) continue;
+      if (sat_add(load[q], g.node_weight(v)) > balance.capacity()) continue;
       if (best == kInvalidPart || load[q] < load[best]) best = q;
     }
     if (best == kInvalidPart) return std::nullopt;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "hyperpart/obs/telemetry.hpp"
+#include "hyperpart/util/overflow.hpp"
 
 namespace hp {
 
@@ -42,7 +43,7 @@ bool rebalance_with_tracker(const Hypergraph& g, ConnectivityTracker& tracker,
       if (w == 0) continue;  // moving it cannot reduce the excess
       for (PartId q = 0; q < k; ++q) {
         if (q == from) continue;
-        if (tracker.part_weight(q) + w > capacity) continue;
+        if (sat_add(tracker.part_weight(q), w) > capacity) continue;
         const Weight gain = tracker.cached_gain(v, q);
         if (best_v == kInvalidNode || gain > best_gain ||
             (gain == best_gain && (v < best_v || (v == best_v && q < best_q)))) {

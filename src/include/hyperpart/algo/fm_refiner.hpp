@@ -8,19 +8,16 @@
 // multi-constraint / Definition 5.1 layer-wise), which is what makes the
 // refiner usable for the paper's multi-constraint experiments.
 //
-// Two engines share the pass structure. The default boundary-driven engine
-// runs off the ConnectivityTracker's incrementally-maintained gain cache
-// and best-move index: passes seed an addressable per-node heap with
-// boundary nodes only (nodes on cut edges — everything else has
-// non-positive gain), keyed by the tracker's O(1) best cached gain. Keys
-// are exact rather than lazy — after each move precisely the nodes whose
-// cached gains changed are re-keyed in place — so a pop needs no
-// revalidation, just one O(k) feasibility scan to pick the target part.
-// The legacy engine (use_gain_cache = false) recomputes gains by
-// rescanning incident edges and seeds all n·(k−1) moves; it is kept as
-// the reference baseline measured by bench_refine_scaling.
+// The sequential engine is boundary-driven and runs off the
+// ConnectivityTracker's incrementally-maintained gain cache and best-move
+// index: passes seed an addressable per-node heap with boundary nodes only
+// (nodes on cut edges — everything else has non-positive gain), keyed by
+// the tracker's O(1) best cached gain. Keys are exact rather than lazy —
+// after each move precisely the nodes whose cached gains changed are
+// re-keyed in place — so a pop needs no revalidation, just one O(k)
+// feasibility scan to pick the target part.
 //
-// A third engine (sync_rounds = true) trades the sequential pass for
+// A second engine (sync_rounds = true) trades the sequential pass for
 // deterministic synchronous move rounds in the BiPart / deterministic
 // Mt-KaHyPar style: each round snapshots the boundary, computes best-gain
 // proposals in parallel over fixed-grain chunks of the snapshot (pure
@@ -54,20 +51,16 @@ struct FmConfig {
   double min_pass_improvement = 0.002;
   /// Optional extra balance groups that every move must respect.
   const ConstraintSet* extra_constraints = nullptr;
-  /// Boundary-driven gain-cache engine (default) vs. the legacy
-  /// recompute-every-gain engine kept for baseline measurements.
-  bool use_gain_cache = true;
   /// Threads for tracker/gain-cache construction (0 = default_threads()).
   /// The refined partition is identical for every thread count.
   unsigned threads = 1;
   /// Use the synchronous-round parallel engine (see the file header)
-  /// instead of the sequential pass. Requires the gain cache; falls back
-  /// to the sequential engine when extra_constraints are set (group
-  /// feasibility is stateful across moves and is not revalidated by the
-  /// batch commit) or use_gain_cache is false. The choice of engine must
-  /// never depend on the thread count — callers gate it on instance size
-  /// (e.g. MultilevelConfig::sync_fm_min_nodes) so results stay identical
-  /// across thread counts.
+  /// instead of the sequential pass. Falls back to the sequential engine
+  /// when extra_constraints are set (group feasibility is stateful across
+  /// moves and is not revalidated by the batch commit). The choice of
+  /// engine must never depend on the thread count — callers gate it on
+  /// instance size (e.g. MultilevelConfig::sync_fm_min_nodes) so results
+  /// stay identical across thread counts.
   bool sync_rounds = false;
   /// Round cap for the synchronous engine; rounds also stop as soon as one
   /// of them applies no move.
@@ -83,9 +76,9 @@ Weight fm_refine(const Hypergraph& g, Partition& p,
 /// Construction (and gain-cache fill) cost is paid by the caller exactly
 /// once, so drivers that already keep a tracker — and benchmarks that time
 /// construction as its own stage — don't rebuild it per refinement call.
-/// Enables the gain cache on the tracker when cfg asks for an engine or
-/// metric it doesn't have yet. On return the tracker reflects the refined
-/// partition written to `p`.
+/// Enables the gain cache on the tracker when it is missing or built for
+/// another metric. On return the tracker reflects the refined partition
+/// written to `p`.
 Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
                  Partition& p, const BalanceConstraint& balance,
                  const FmConfig& cfg = {});

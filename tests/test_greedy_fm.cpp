@@ -200,6 +200,135 @@ TEST(GreedyGolden, InfeasibleReturnsNullopt) {
           .has_value());
 }
 
+// Golden partitions of fm_refine, in the style of GreedyGolden above: each
+// value is an FNV-1a fold of the refined partition and reported cost of
+// every run in a sweep (k = 2..8, several start partitions). Each sweep
+// pins one engine path that kernel_microbench (connectivity only,
+// k in {8, 128}) does not.
+
+/// Refines a random balanced start under `cfg` and folds the result into
+/// `h`; checks that the refined partition is balanced, its reported cost
+/// is exact, and it never ends above the start.
+void fold_fm(const Hypergraph& g, const BalanceConstraint& balance,
+             const Partition& start, const FmConfig& cfg, std::uint64_t& h) {
+  const auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 1099511628211ULL;
+  };
+  Partition p = start;
+  const Weight after = fm_refine(g, p, balance, cfg);
+  EXPECT_LE(after, cost(g, start, cfg.metric));
+  EXPECT_EQ(after, cost(g, p, cfg.metric));
+  EXPECT_TRUE(balance.satisfied(g, p));
+  if (cfg.extra_constraints != nullptr) {
+    EXPECT_TRUE(cfg.extra_constraints->satisfied(g, p));
+  }
+  mix(static_cast<std::uint64_t>(after));
+  for (const PartId q : p.raw()) mix(q);
+}
+
+std::uint64_t fm_sweep(const Hypergraph& g, double eps, const FmConfig& cfg,
+                       std::uint64_t seeds) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (PartId k = 2; k <= 8; ++k) {
+    const auto balance = BalanceConstraint::for_graph(g, k, eps, true);
+    for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+      const auto start = random_balanced_partition(g, balance, seed + 100);
+      if (!start) {
+        h ^= 0xFFFFFFFFULL;
+        h *= 1099511628211ULL;
+        continue;
+      }
+      fold_fm(g, balance, *start, cfg, h);
+    }
+  }
+  return h;
+}
+
+TEST(FmGolden, ConnectivityKSweep) {
+  Hypergraph g = random_hypergraph(400, 640, 2, 6, 31);
+  random_node_weights(g, 1, 4, 11);
+  EXPECT_EQ(fm_sweep(g, 0.1, {}, 3), 9615512970625237650ULL);
+}
+
+TEST(FmGolden, CutNetKSweep) {
+  Hypergraph g = random_hypergraph(400, 640, 2, 6, 32);
+  random_node_weights(g, 1, 4, 12);
+  FmConfig cfg;
+  cfg.metric = CostMetric::kCutNet;
+  EXPECT_EQ(fm_sweep(g, 0.1, cfg, 3), 10366656437501766210ULL);
+}
+
+TEST(FmGolden, EpsilonZero) {
+  // At ε = 0 every part is full, so each pass leans on the transient
+  // one-node slack and only balanced prefixes survive the rollback.
+  const Hypergraph unit = random_hypergraph(840, 1200, 2, 6, 33);
+  // Weights in {1, 2} keep a first-fit start feasible at ε = 0.
+  Hypergraph weighted = random_hypergraph(420, 600, 2, 6, 34);
+  random_node_weights(weighted, 1, 2, 13);
+  FmConfig cut;
+  cut.metric = CostMetric::kCutNet;
+  EXPECT_EQ(fm_sweep(unit, 0.0, {}, 2), 11026558478877248879ULL);
+  EXPECT_EQ(fm_sweep(unit, 0.0, cut, 2), 17465945075739719162ULL);
+  EXPECT_EQ(fm_sweep(weighted, 0.0, {}, 2), 12747219899442227842ULL);
+}
+
+TEST(FmGolden, ExtraConstraints) {
+  // Three disjoint groups (v mod 3) plus one group over the first half of
+  // the nodes, which overlaps all three: each move of a first-half node is
+  // checked against two groups at once.
+  const NodeId n = 360;
+  const Hypergraph g = random_hypergraph(n, 560, 2, 6, 35);
+  std::vector<std::vector<NodeId>> subsets(3);
+  for (NodeId v = 0; v < n; ++v) subsets[v % 3].push_back(v);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (PartId k = 2; k <= 8; ++k) {
+    ConstraintSet cs = ConstraintSet::for_subsets(g, subsets, k, 0.1, true);
+    ConstraintGroup overlap;
+    for (NodeId v = 0; v < n / 2; ++v) overlap.nodes.push_back(v);
+    overlap.capacity = static_cast<Weight>((n / 2 + k - 1) / k + 2);
+    cs.add_group(std::move(overlap));
+    // Round-robin inside each group satisfies every group and the total.
+    std::vector<PartId> assign(n);
+    for (NodeId v = 0; v < n; ++v) assign[v] = (v / 3 + v % 3) % k;
+    const Partition start(std::move(assign), k);
+    const auto balance = BalanceConstraint::for_graph(g, k, 0.1, true);
+    ASSERT_TRUE(cs.satisfied(g, start));
+    ASSERT_TRUE(balance.satisfied(g, start));
+    for (const CostMetric metric :
+         {CostMetric::kConnectivity, CostMetric::kCutNet}) {
+      FmConfig cfg;
+      cfg.metric = metric;
+      cfg.extra_constraints = &cs;
+      // Extra constraints keep the sequential engine even when the sync
+      // engine is requested.
+      for (const bool sync : {false, true}) {
+        cfg.sync_rounds = sync;
+        fold_fm(g, balance, start, cfg, h);
+      }
+    }
+  }
+  EXPECT_EQ(h, 17972857039125871263ULL);
+}
+
+TEST(FmGolden, SyncEngine) {
+  Hypergraph g = random_hypergraph(600, 960, 2, 6, 36);
+  random_node_weights(g, 1, 3, 14);
+  for (const CostMetric metric :
+       {CostMetric::kConnectivity, CostMetric::kCutNet}) {
+    FmConfig cfg;
+    cfg.metric = metric;
+    cfg.sync_rounds = true;
+    const std::uint64_t serial = fm_sweep(g, 0.05, cfg, 2);
+    EXPECT_EQ(serial, metric == CostMetric::kConnectivity
+                          ? 17065522156021660040ULL
+                          : 12115464740365748916ULL)
+        << to_string(metric);
+    cfg.threads = 4;
+    EXPECT_EQ(fm_sweep(g, 0.05, cfg, 2), serial) << to_string(metric);
+  }
+}
+
 TEST(Fm, NeverIncreasesCost) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const Hypergraph g = random_hypergraph(40, 60, 2, 5, seed);

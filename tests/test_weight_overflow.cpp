@@ -9,7 +9,10 @@
 #include <cstdint>
 #include <limits>
 
+#include "hyperpart/algo/annealing.hpp"
+#include "hyperpart/algo/incremental.hpp"
 #include "hyperpart/core/balance.hpp"
+#include "hyperpart/core/connectivity_tracker.hpp"
 #include "hyperpart/core/hypergraph.hpp"
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/core/partition.hpp"
@@ -100,6 +103,38 @@ TEST(WeightOverflow, SaturatedSumsKeepBalanceChecksDirectional) {
   p.assign(2, 1);
   const auto b = BalanceConstraint::with_capacity(2, kMax / 2, 0.0);
   EXPECT_FALSE(b.satisfied(g, p));
+}
+
+/// Rebalancing may not admit a move whose target weight only looks small
+/// because the sum wrapped: kMax + 20 wraps to kMin + 19, under any
+/// capacity. The max-weight node fits nowhere, so rebalancing must fail.
+TEST(WeightOverflow, RebalanceCapacityCheckSaturates) {
+  Hypergraph g = Hypergraph::from_edges(2, {{0, 1}});
+  g.set_node_weights({kMax, 20});
+  Partition p(2, 2);
+  p.assign(0, 0);
+  p.assign(1, 1);
+  ConnectivityTracker tracker(g, p);
+  const auto b = BalanceConstraint::with_capacity(2, 10, 0.0);
+  EXPECT_FALSE(
+      rebalance_with_tracker(g, tracker, b, CostMetric::kConnectivity, 1));
+  EXPECT_EQ(tracker.part_of(0), 0u);
+  EXPECT_EQ(tracker.part_of(1), 1u);
+}
+
+/// Annealing starts balanced with one near-max node per part; moving either
+/// onto the other would uncut the edge, but their sum wraps negative and
+/// must not pass for a part weight within capacity.
+TEST(WeightOverflow, AnnealingCapacityCheckSaturates) {
+  Hypergraph g = Hypergraph::from_edges(2, {{0, 1}});
+  g.set_node_weights({kMax - 5, kMax - 5});
+  const auto b = BalanceConstraint::with_capacity(2, kMax - 1, 0.0);
+  AnnealingConfig cfg;
+  cfg.temperature_steps = 2;
+  const auto p = annealing_partition(g, b, cfg);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_TRUE(b.satisfied(g, *p));
+  EXPECT_NE((*p)[0], (*p)[1]);
 }
 
 }  // namespace

@@ -19,8 +19,12 @@
 // A tolerance V is a relative slack: candidate <= base + V * max(1, |base|)
 // passes. Checks are one-sided (bigger is worse), so higher-is-better
 // metrics (fm_speedup) and noisy ones (ms, peak_rss_kb) should be excluded
-// via --ignore / --ignore-suffix. Negative values are sentinels in the
-// bench tables ("leg not run") and skip the comparison. A baseline row
+// via --ignore / --ignore-suffix. Two rules are derived from the field
+// name and value alone and hold whatever the tolerance: a field ending in
+// "_hash" is an identity and must equal the baseline exactly, and a
+// negative candidate where the baseline is non-negative is a regression
+// (the leg stopped running). A negative baseline value is a "leg not run"
+// sentinel and skips the comparison. A baseline row
 // missing from the candidate is a failure unless --allow-missing is given
 // (for CI gates that run only the quick/smoke subset of a full committed
 // baseline); --require-rows N additionally fails the run when fewer than
@@ -156,6 +160,11 @@ std::string field_of(const std::string& metric) {
   return pos == std::string::npos ? metric : metric.substr(pos + 2);
 }
 
+bool ends_with(const std::string& s, const std::string& sfx) {
+  return s.size() >= sfx.size() &&
+         s.compare(s.size() - sfx.size(), sfx.size(), sfx) == 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -237,12 +246,9 @@ int main(int argc, char** argv) {
 
   const auto skipped = [&](const std::string& field) {
     if (ignore.count(field) != 0) return true;
-    return std::any_of(ignore_suffix.begin(), ignore_suffix.end(),
-                       [&](const std::string& sfx) {
-                         return field.size() >= sfx.size() &&
-                                field.compare(field.size() - sfx.size(),
-                                              sfx.size(), sfx) == 0;
-                       });
+    return std::any_of(
+        ignore_suffix.begin(), ignore_suffix.end(),
+        [&](const std::string& sfx) { return ends_with(field, sfx); });
   };
 
   std::uint64_t compared = 0;
@@ -259,15 +265,31 @@ int main(int argc, char** argv) {
       continue;
     }
     const double cand_value = it->second;
-    if (base_value < 0 || cand_value < 0) continue;  // "leg not run" sentinel
+    if (base_value < 0) continue;  // "leg not run" sentinel
     ++compared;
-    const auto t = tol.find(field);
-    const double slack = (t != tol.end() ? t->second : default_tol) *
-                         std::max(1.0, std::abs(base_value));
     if (list) {
       std::cout << metric << ": " << base_value << " -> " << cand_value
                 << "\n";
     }
+    if (cand_value < 0) {
+      std::cout << "REGRESSION " << metric << ": " << base_value << " -> "
+                << cand_value << " (leg stopped running)\n";
+      ++regressions;
+      continue;
+    }
+    if (ends_with(field, "_hash")) {
+      if (cand_value != base_value) {
+        std::cout << "REGRESSION " << metric << ": "
+                  << static_cast<std::int64_t>(base_value) << " -> "
+                  << static_cast<std::int64_t>(cand_value)
+                  << " (identity field must equal baseline)\n";
+        ++regressions;
+      }
+      continue;
+    }
+    const auto t = tol.find(field);
+    const double slack = (t != tol.end() ? t->second : default_tol) *
+                         std::max(1.0, std::abs(base_value));
     if (cand_value > base_value + slack) {
       std::cout << "REGRESSION " << metric << ": " << base_value << " -> "
                 << cand_value << " (allowed <= " << base_value + slack
