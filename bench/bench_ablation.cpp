@@ -7,8 +7,6 @@
 
 #include "bench_util.hpp"
 #include "hyperpart/algo/multilevel.hpp"
-#include "hyperpart/algo/parallel.hpp"
-#include "hyperpart/algo/vcycle.hpp"
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/io/generators.hpp"
 #include "hyperpart/util/timer.hpp"

@@ -9,6 +9,14 @@
 
 namespace hp {
 
+namespace {
+
+/// Start temperature and geometric cooling factor per temperature step.
+constexpr double kInitialTemperature = 4.0;
+constexpr double kCooling = 0.95;
+
+}  // namespace
+
 std::optional<Partition> annealing_partition(const Hypergraph& g,
                                              const BalanceConstraint& balance,
                                              const AnnealingConfig& cfg) {
@@ -20,7 +28,7 @@ std::optional<Partition> annealing_partition(const Hypergraph& g,
 
   Partition best = *start;
   Weight best_cost = tracker.cost(cfg.metric);
-  double temperature = cfg.initial_temperature;
+  double temperature = kInitialTemperature;
 
   const std::uint64_t moves_per_step =
       static_cast<std::uint64_t>(cfg.moves_per_node) * g.num_nodes();
@@ -49,7 +57,7 @@ std::optional<Partition> annealing_partition(const Hypergraph& g,
         best = tracker.to_partition();
       }
     }
-    temperature *= cfg.cooling;
+    temperature *= kCooling;
   }
   return best;
 }

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <vector>
 
+#include "hyperpart/util/overflow.hpp"
+
 namespace hp {
 
 namespace {
@@ -130,7 +132,7 @@ std::optional<BnbResult> branch_and_bound_partition(
     const NodeId v = order[idx];
     const PartId limit = std::min<PartId>(k, max_used + 1);
     for (PartId q = 0; q < limit && !budget_hit; ++q) {
-      if (load[q] + g.node_weight(v) > balance.capacity()) continue;
+      if (sat_add(load[q], g.node_weight(v)) > balance.capacity()) continue;
       load[q] += g.node_weight(v);
       partial.assign(v, q);
       current.assign(v, q);

@@ -5,6 +5,8 @@
 #include <limits>
 #include <vector>
 
+#include "hyperpart/util/overflow.hpp"
+
 namespace hp {
 
 std::optional<ExactResult> brute_force_partition(
@@ -41,7 +43,7 @@ std::optional<ExactResult> brute_force_partition(
     const PartId limit =
         opts.break_symmetry ? std::min<PartId>(k, max_used + 1) : k;
     for (PartId q = 0; q < limit; ++q) {
-      if (load[q] + g.node_weight(v) > balance.capacity()) continue;
+      if (sat_add(load[q], g.node_weight(v)) > balance.capacity()) continue;
       current.assign(v, q);
       load[q] += g.node_weight(v);
       self(self, v + 1, std::max<PartId>(max_used, q + 1));

@@ -89,6 +89,19 @@ struct AppliedMove {
 // snapshot size.
 constexpr std::uint64_t kSyncProposeGrain = 1024;
 
+/// Round cap for the synchronous engine; rounds also stop as soon as one
+/// of them applies no move.
+constexpr int kMaxSyncRounds = 32;
+
+/// A sequential pass aborts after this many consecutive non-improving
+/// moves.
+constexpr std::uint32_t kPatience = 64;
+
+/// Passes stop once one improved the cost by less than this fraction of
+/// its start cost. Trailing passes re-scan the whole boundary to recover a
+/// handful of moves; cutting them is almost free in quality.
+constexpr double kMinPassImprovement = 0.002;
+
 /// Synchronous-round parallel engine: propose in parallel against frozen
 /// state, commit sequentially in (gain desc, node id asc) order through
 /// the tracker's revalidating batch API. See the header for the contract.
@@ -103,7 +116,7 @@ Weight sync_fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
   std::vector<NodeId> snapshot;
   std::vector<std::vector<BatchMove>> chunk_out;
   std::vector<BatchMove> candidates;
-  for (int round = 0; round < cfg.max_sync_rounds; ++round) {
+  for (int round = 0; round < kMaxSyncRounds; ++round) {
     const auto& boundary = tracker.boundary_nodes();
     if (boundary.empty()) break;
     HP_SPAN("sync_round", round);
@@ -277,7 +290,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
     // otherwise no single move is feasible from an exactly balanced
     // bisection. Only balanced prefixes are eligible as the rollback
     // target, so the result is always feasible.
-    while (since_improvement < cfg.patience) {
+    while (since_improvement < kPatience) {
       // Keys are exact, not lazy: every gain change re-keys its node via
       // the touched list below, so the top key IS the node's current best
       // cached gain. Only balance feasibility is checked here.
@@ -331,7 +344,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
                       obs_rolled_back += moves.size() - best_prefix;)
     if (best >= start_cost) break;  // pass brought no improvement
     if (static_cast<double>(start_cost - best) <
-        cfg.min_pass_improvement * static_cast<double>(start_cost)) {
+        kMinPassImprovement * static_cast<double>(start_cost)) {
       break;  // converged: the next pass would win even less
     }
   }

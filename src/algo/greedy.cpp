@@ -245,11 +245,11 @@ std::optional<Partition> greedy_growing_partition(
   for (NodeId v = 0; v < n; ++v) {
     if (taken[v]) continue;
     PartId best = kInvalidPart;
-    if (load[k - 1] + g.node_weight(v) <= balance.capacity()) {
+    if (sat_add(load[k - 1], g.node_weight(v)) <= balance.capacity()) {
       best = k - 1;
     } else {
       for (PartId q = 0; q < k; ++q) {
-        if (load[q] + g.node_weight(v) > balance.capacity()) continue;
+        if (sat_add(load[q], g.node_weight(v)) > balance.capacity()) continue;
         if (best == kInvalidPart || load[q] < load[best]) best = q;
       }
     }

@@ -5,6 +5,8 @@
 #include <string>
 #include <unordered_set>
 
+#include "hyperpart/util/overflow.hpp"
+
 namespace hp {
 
 std::optional<std::vector<PartId>> pack_items(std::vector<PackingItem> items,
@@ -49,7 +51,7 @@ std::optional<std::vector<PartId>> pack_items(std::vector<PackingItem> items,
     Weight previous_load = -1;
     for (PartId q = 0; q < k; ++q) {
       if (!((allowed >> q) & 1)) continue;
-      if (load[q] + item.size > capacity) continue;
+      if (sat_add(load[q], item.size) > capacity) continue;
       // Bins with identical load are interchangeable when nothing
       // restricts bins: try one representative.
       if (!any_restricted && load[q] == previous_load) continue;

@@ -10,6 +10,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "hyperpart/util/overflow.hpp"
+
 namespace hp {
 
 namespace {
@@ -91,7 +93,7 @@ class Placer {
     const Component& c = comps_[idx];
     for (PartId q = 0; q < k_; ++q) {
       if (!((c.allowed >> q) & 1)) continue;
-      if (load_[q] + c.weight > capacity_) continue;
+      if (sat_add(load_[q], c.weight) > capacity_) continue;
       bool group_ok = true;
       if (groups_ != nullptr) {
         for (std::size_t j = 0; j < groups_->num_constraints(); ++j) {

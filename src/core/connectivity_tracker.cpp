@@ -59,8 +59,9 @@ void ConnectivityTracker::build_counts(unsigned threads) {
   std::atomic<Weight> cut{0};
   std::atomic<Weight> conn{0};
   C* counts = counts_data<C>();
-  parallel_for_chunks(
-      g_.num_edges(), threads, [&](std::uint64_t begin, std::uint64_t end) {
+  parallel_for_grain(
+      g_.num_edges(), kStableGrain, threads,
+      [&](std::size_t, std::uint64_t begin, std::uint64_t end) {
         Weight local_cut = 0;
         Weight local_conn = 0;
         for (EdgeId e = static_cast<EdgeId>(begin);
@@ -338,31 +339,34 @@ void ConnectivityTracker::enable_gain_cache(CostMetric m, unsigned threads) {
   // λ benefit slots of each pin — O(pins·λ) scattered writes instead of
   // the O(pins·k) scattered count reads a node-centric fill would do.
   // Both paths compute the same exact integer sums, so the tables are
-  // identical for every thread count.
+  // identical for every thread count. Plain adds suffice when one executor
+  // runs every chunk.
+  const bool atomic =
+      threads > 1 && num_grain_chunks(g_.num_edges(), kStableGrain) > 1;
   if (narrow_) {
-    if (threads <= 1) {
-      fill_cache_tables<false, std::uint16_t>(m, 1);
-    } else {
+    if (atomic) {
       fill_cache_tables<true, std::uint16_t>(m, threads);
+    } else {
+      fill_cache_tables<false, std::uint16_t>(m, 1);
     }
   } else {
-    if (threads <= 1) {
-      fill_cache_tables<false, std::uint32_t>(m, 1);
-    } else {
+    if (atomic) {
       fill_cache_tables<true, std::uint32_t>(m, threads);
+    } else {
+      fill_cache_tables<false, std::uint32_t>(m, 1);
     }
   }
 
   // Best-target index over the finished benefit rows; a pure function of
   // the rows, so the parallel build is deterministic.
   best_to_.assign(n, 0);
-  parallel_for_chunks(n, threads,
-                      [&](std::uint64_t begin, std::uint64_t end) {
-                        for (NodeId v = static_cast<NodeId>(begin);
-                             v < static_cast<NodeId>(end); ++v) {
-                          rescan_best(v);
-                        }
-                      });
+  parallel_for_grain(n, kStableGrain, threads,
+                     [&](std::size_t, std::uint64_t begin, std::uint64_t end) {
+                       for (NodeId v = static_cast<NodeId>(begin);
+                            v < static_cast<NodeId>(end); ++v) {
+                         rescan_best(v);
+                       }
+                     });
 
   for (NodeId v = 0; v < n; ++v) {
     if (aux_[v].cut_incident > 0) boundary_insert(v);
@@ -410,8 +414,9 @@ void ConnectivityTracker::fill_cache_tables(CostMetric m, unsigned threads) {
     }
   };
   const C* counts = counts_data<C>();
-  parallel_for_chunks(
-      g_.num_edges(), threads, [&](std::uint64_t begin, std::uint64_t end) {
+  parallel_for_grain(
+      g_.num_edges(), kStableGrain, threads,
+      [&](std::size_t, std::uint64_t begin, std::uint64_t end) {
         std::vector<PartId> present;
         present.reserve(k_);
         for (EdgeId e = static_cast<EdgeId>(begin);

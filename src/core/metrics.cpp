@@ -35,16 +35,4 @@ std::vector<EdgeId> cut_edges(const Hypergraph& g, const Partition& p) {
   return out;
 }
 
-Weight sum_external_degrees(const Hypergraph& g, const Partition& p) {
-  Weight total = 0;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const PartId l = lambda(g, p, e);
-    if (l > 1) {
-      total = sat_add(total, sat_mul(g.edge_weight(e),
-                                     static_cast<Weight>(l)));
-    }
-  }
-  return total;
-}
-
 }  // namespace hp

@@ -851,25 +851,26 @@ OracleReport run_oracle(const FuzzInstance& inst, const OracleOptions& opts) {
                 (!p || same_assignment(*p, *threaded)),
             "determinism", "multilevel result depends on thread count");
 
-    // Forced synchronous-FM sweep: fuzz instances are far below the
-    // size gate, so drop it to 0 — every level now refines through the
-    // parallel propose/commit round path — and demand a bit-identical
-    // partition at 1, 2, 4, and 8 threads.
-    mcfg.sync_fm_min_nodes = 0;
+    // Synchronous-FM sweep: fuzz instances are far below the multilevel
+    // driver's size gate (kSyncFmMinNodes), so refine the multilevel result
+    // through the parallel propose/commit round engine directly and demand
+    // a bit-identical partition at 1, 2, 4, and 8 threads.
+    if (!p) return;
+    FmConfig scfg = mcfg.fm;
+    scfg.metric = inst.metric;
+    scfg.sync_rounds = true;
     std::optional<Partition> sync_base;
     for (const unsigned t : {1u, 2u, 4u, 8u}) {
-      mcfg.fm.threads = t;
-      auto sp = multilevel_partition(g, balance, mcfg);
-      if (sp) check_feasible(c, "multilevel-sync", *sp, balance);
+      scfg.threads = t;
+      Partition sp = *p;
+      fm_refine(g, sp, balance, scfg);
+      check_feasible(c, "multilevel-sync", sp, balance);
       if (t == 1) {
         sync_base = std::move(sp);
         continue;
       }
-      c.check(sync_base.has_value() == sp.has_value() &&
-                  (!sync_base || same_assignment(*sync_base, *sp)),
-              "determinism",
-              "sync-round multilevel differs at " + std::to_string(t) +
-                  " threads");
+      c.check(same_assignment(*sync_base, sp), "determinism",
+              "sync-round FM differs at " + std::to_string(t) + " threads");
     }
   });
 

@@ -6,6 +6,7 @@
 #include "hyperpart/hier/assignment.hpp"
 #include "hyperpart/hier/hier_cost.hpp"
 #include "hyperpart/hier/two_step.hpp"
+#include "hyperpart/util/overflow.hpp"
 
 namespace hp {
 
@@ -48,7 +49,7 @@ double hier_refine(const Hypergraph& g, Partition& p, const HierTopology& topo,
       PartId best_to = kInvalidPart;
       for (PartId q = 0; q < k; ++q) {
         if (q == from) continue;
-        if (load[q] + g.node_weight(v) > balance.capacity()) continue;
+        if (sat_add(load[q], g.node_weight(v)) > balance.capacity()) continue;
         p.assign(v, q);
         const double delta = incident_cost(v) - before;
         if (delta < best_delta) {

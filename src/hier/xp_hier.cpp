@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "hyperpart/hier/hier_cost.hpp"
+#include "hyperpart/util/overflow.hpp"
 
 namespace hp {
 
@@ -56,7 +57,7 @@ double general_topology_refine(const Hypergraph& g, Partition& p,
       PartId best_to = kInvalidPart;
       for (PartId q = 0; q < k; ++q) {
         if (q == from) continue;
-        if (load[q] + g.node_weight(v) > balance.capacity()) continue;
+        if (sat_add(load[q], g.node_weight(v)) > balance.capacity()) continue;
         p.assign(v, q);
         const double delta = incident_cost(v) - before;
         if (delta < best_delta) {

@@ -2,7 +2,8 @@
 // Simulated-annealing partitioner — a metaheuristic baseline alongside FM
 // and multilevel, for the heuristics comparison the hardness results
 // motivate. Single-node moves with Metropolis acceptance on the exact
-// incremental gain, geometric cooling, balance-feasible throughout.
+// incremental gain, geometric cooling (T₀ = 4, ×0.95 per step),
+// balance-feasible throughout.
 
 #include <optional>
 
@@ -14,8 +15,6 @@ namespace hp {
 
 struct AnnealingConfig {
   CostMetric metric = CostMetric::kConnectivity;
-  double initial_temperature = 4.0;
-  double cooling = 0.95;
   /// Moves attempted per temperature step (scaled by n).
   int moves_per_node = 4;
   int temperature_steps = 60;

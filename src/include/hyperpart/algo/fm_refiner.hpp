@@ -28,8 +28,6 @@
 // the hard capacity apply, so rounds are monotone, never unbalance the
 // partition, and produce a bit-identical result at any thread count.
 
-#include <cstdint>
-
 #include "hyperpart/core/balance.hpp"
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/core/partition.hpp"
@@ -40,15 +38,10 @@ class ConnectivityTracker;
 
 struct FmConfig {
   CostMetric metric = CostMetric::kConnectivity;
-  /// Maximum number of passes; each pass is O(pins · log) amortized.
+  /// Maximum number of passes; each pass is O(pins · log) amortized. A
+  /// pass aborts after 64 consecutive non-improving moves, and passes stop
+  /// early once one improves the cost by less than 0.2%.
   int max_passes = 8;
-  /// A pass aborts after this many consecutive non-improving moves.
-  std::uint32_t patience = 64;
-  /// Stop iterating passes once a pass improved the cost by less than this
-  /// fraction of its start cost (0 = keep going until a pass brings no
-  /// improvement at all). Trailing passes re-scan the whole boundary to
-  /// recover a handful of moves; cutting them is almost free in quality.
-  double min_pass_improvement = 0.002;
   /// Optional extra balance groups that every move must respect.
   const ConstraintSet* extra_constraints = nullptr;
   /// Threads for tracker/gain-cache construction (0 = default_threads()).
@@ -59,12 +52,10 @@ struct FmConfig {
   /// when extra_constraints are set (group feasibility is stateful across
   /// moves and is not revalidated by the batch commit). The choice of
   /// engine must never depend on the thread count — callers gate it on
-  /// instance size (e.g. MultilevelConfig::sync_fm_min_nodes) so results
-  /// stay identical across thread counts.
+  /// instance size (the multilevel driver uses kSyncFmMinNodes) so results
+  /// stay identical across thread counts. The synchronous engine runs at
+  /// most 32 rounds and stops at the first round that applies no move.
   bool sync_rounds = false;
-  /// Round cap for the synchronous engine; rounds also stop as soon as one
-  /// of them applies no move.
-  int max_sync_rounds = 32;
 };
 
 /// Refine `p` in place; returns the final cost under cfg.metric.

@@ -1,7 +1,9 @@
 #pragma once
 // Multilevel hypergraph partitioning (coarsen → initial → uncoarsen+refine),
 // the algorithmic skeleton of hMETIS/KaHyPar-style tools [28, 45]. Serves as
-// the practical heuristic the paper's hardness results motivate.
+// the practical heuristic the paper's hardness results motivate. The same
+// descent and ascent also drive V-cycle refinement of an existing partition
+// and embarrassingly-parallel multi-start search.
 
 #include <optional>
 #include <vector>
@@ -23,16 +25,15 @@ struct MultilevelConfig {
   int initial_tries = 8;
   FmConfig fm{};
   std::uint64_t seed = 1;
-  /// Levels with at least this many nodes refine with the synchronous-round
-  /// parallel FM engine (FmConfig::sync_rounds); smaller levels — and the
-  /// coarsest-level initial refinement — use the sequential engine, whose
-  /// rollback discipline wins more on small instances than parallel rounds
-  /// do. The switch depends only on the level's node count, never on the
-  /// thread count, so partitions stay bit-identical across thread counts.
-  /// Set to 0 to force the synchronous engine everywhere it is legal, or
-  /// to kInvalidNode to disable it.
-  NodeId sync_fm_min_nodes = 25000;
 };
+
+/// Levels with at least this many nodes refine with the synchronous-round
+/// parallel FM engine (FmConfig::sync_rounds); smaller levels — and the
+/// coarsest-level initial refinement — use the sequential engine, whose
+/// rollback discipline wins more on small instances than parallel rounds
+/// do. The switch depends only on the level's node count, never on the
+/// thread count, so partitions stay bit-identical across thread counts.
+inline constexpr NodeId kSyncFmMinNodes = 25000;
 
 /// Partition g into balance.k() parts. Returns nullopt when no feasible
 /// partition is found (capacity too tight for the node weights).
@@ -65,5 +66,21 @@ struct MultilevelHierarchy {
 [[nodiscard]] std::optional<Partition> multilevel_partition_cached(
     const Hypergraph& g, const BalanceConstraint& balance,
     const MultilevelConfig& cfg, MultilevelHierarchy* hierarchy);
+
+/// V-cycle refinement [28, 45]: run `cycles` multilevel V-cycles on the
+/// complete, balanced partition p (in place); returns the final cost under
+/// cfg.metric. Coarsening is restricted to clusters within one part, so p
+/// projects losslessly onto every level and a cycle is kept only when it
+/// lowers the cost. Uses its own rng stream (seeded from cfg.seed).
+Weight vcycle_refine(const Hypergraph& g, Partition& p,
+                     const BalanceConstraint& balance,
+                     const MultilevelConfig& cfg = {}, int cycles = 2);
+
+/// Run `starts` independent multilevel searches (seeds cfg.seed + i) on up
+/// to `threads` threads; return the best-cost feasible result. The outcome
+/// is the same as running the starts sequentially.
+[[nodiscard]] std::optional<Partition> multilevel_partition_multistart(
+    const Hypergraph& g, const BalanceConstraint& balance,
+    const MultilevelConfig& cfg, int starts, unsigned threads);
 
 }  // namespace hp

@@ -136,9 +136,4 @@ template <class G>
 [[nodiscard]] std::vector<EdgeId> cut_edges(const Hypergraph& g,
                                             const Partition& p);
 
-/// Sum over cut edges of w(e)·λ_e ("sum of external degrees"); reported by
-/// some partitioners, provided for completeness.
-[[nodiscard]] Weight sum_external_degrees(const Hypergraph& g,
-                                          const Partition& p);
-
 }  // namespace hp

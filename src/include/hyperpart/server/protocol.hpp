@@ -14,10 +14,15 @@
 // before any allocation so a hostile length field cannot balloon memory.
 // Request/response schemas on top of the frame are documented in DESIGN.md
 // ("Partitioning service"); the frame layer itself is JSON-agnostic and is
-// unit-tested byte-by-byte in test_server.
+// unit-tested byte-by-byte in test_server. The client helpers at the end
+// (connect_unix, round_trip, rpc) are shared by hyperpartc, the benches and
+// the tests.
 
 #include <cstdint>
+#include <optional>
 #include <string>
+
+#include "hyperpart/obs/json.hpp"
 
 namespace hp::server {
 
@@ -45,5 +50,20 @@ enum class FrameError : std::uint8_t {
 /// writes. Returns kNone, kOversize (payload beyond the protocol's 32-bit
 /// length), or kIo.
 [[nodiscard]] FrameError write_frame(int fd, const std::string& payload);
+
+/// Connect a stream socket to the unix-domain socket at `path`. Returns
+/// the fd, or -1 with errno set (ENAMETOOLONG for a path that does not fit
+/// sockaddr_un).
+[[nodiscard]] int connect_unix(const std::string& path);
+
+/// One request/response round trip: write `request` as a frame, read the
+/// response frame. nullopt on any frame or transport error.
+[[nodiscard]] std::optional<std::string> round_trip(int fd,
+                                                    const std::string& request);
+
+/// round_trip on JSON documents. nullopt also when the response is not
+/// valid JSON.
+[[nodiscard]] std::optional<obs::json::Value> rpc(
+    int fd, const obs::json::Value& request);
 
 }  // namespace hp::server

@@ -3,7 +3,8 @@
 //
 // A Server listens on a unix-domain socket (and optionally a loopback TCP
 // port), speaking the length-prefixed JSON frame protocol of protocol.hpp.
-// Each accepted connection gets its own I/O thread; heavy compute inside a
+// Each accepted connection gets its own detached I/O thread, which exits
+// (and releases its stack) when the peer hangs up; heavy compute inside a
 // request (coarsening, tracker construction, parallel FM) runs on the
 // process-wide persistent ThreadPool through the algorithms' `threads`
 // parameter, so connection threads stay cheap blocking-I/O loops.
@@ -33,6 +34,7 @@
 // documented in DESIGN.md ("Partitioning service").
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -68,7 +70,6 @@ struct ServerConfig {
   /// Compute threads per request (0 = one per hardware core); forwarded as
   /// the `threads` parameter of every algorithm call.
   unsigned threads = 1;
-  std::uint32_t max_frame = kDefaultMaxFrame;
 };
 
 class Server {
@@ -120,8 +121,10 @@ class Server {
 
   std::mutex threads_mu_;
   std::vector<std::thread> accept_threads_;
-  std::vector<std::thread> conn_threads_;
-  std::set<int> open_conns_;  // fds of live connections, for shutdown nudge
+  // fds of live connections, for the shutdown nudge. Connection threads are
+  // detached; each removes its fd and notifies conns_drained_ as it exits.
+  std::set<int> open_conns_;
+  std::condition_variable conns_drained_;
 
   std::mutex sessions_mu_;
   std::map<std::string, std::unique_ptr<GraphSession>> sessions_;

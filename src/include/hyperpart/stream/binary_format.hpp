@@ -63,6 +63,11 @@ void convert_hmetis_file(const std::string& hmetis_path,
 /// throw on unreadable/short files — they are simply not binary).
 [[nodiscard]] bool is_binary_file(const std::string& path);
 
+/// Load a hypergraph file in either format, sniffed with is_binary_file:
+/// HPBH is mapped and copied into memory, anything else is parsed as
+/// hMETIS text. Throws what MappedHypergraph / read_hmetis_file throw.
+[[nodiscard]] Hypergraph read_hypergraph_file(const std::string& path);
+
 /// Read-only mmap view of a binary hypergraph file. Exposes the same
 /// pin-iteration interface as hp::Hypergraph (num_edges/pins/edge_weight,
 /// num_nodes/incident_edges/node_weight), so the generic metric templates

@@ -38,10 +38,9 @@ struct RestreamConfig {
   /// Full re-streaming passes over the node sequence.
   int max_passes = 1;
   /// Nodes resident per chunk; memory per in-flight chunk is
-  /// O(chunk_size · avg_degree · avg_edge_size).
+  /// O(chunk_size · avg_degree · avg_edge_size). Each chunk gets up to three
+  /// greedy sweeps over its window before its proposals are emitted.
   NodeId chunk_size = 1u << 16;
-  /// Greedy sweeps over a chunk's window before its proposals are emitted.
-  int max_chunk_sweeps = 3;
   /// Thread cap for the proposal waves (0 = default_threads()).
   unsigned threads = 0;
 };

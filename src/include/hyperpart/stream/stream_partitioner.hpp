@@ -6,7 +6,7 @@
 // part-presence sketch per hyperedge, the partial assignment, and the k
 // running part weights. The placement score for node v and part q is the
 // fractional greedy rule used by streaming (hyper)graph partitioners in the
-// FENNEL line of work:
+// FENNEL line of work, with α = 1 and γ = 2:
 //
 //   score(v, q) = benefit(v, q) − α · (degw(v) + 1) · (W_q / C)^γ
 //
@@ -40,10 +40,6 @@ struct StreamConfig {
   /// Arrivals per reorder buffer; within a buffer, nodes are placed in
   /// descending degree order. 1 = strict arrival order.
   NodeId buffer_size = 1024;
-  /// α: strength of the fractional balance penalty.
-  double balance_penalty = 1.0;
-  /// γ: penalty growth exponent in the part-fill fraction.
-  double penalty_exponent = 2.0;
   /// Breaks exact score ties deterministically.
   std::uint64_t seed = 1;
 };

@@ -2,8 +2,8 @@
 // Persistent worker pool for the library's shared-memory parallelism.
 //
 // A single lazily-initialized pool of std::threads serves every parallel
-// region (parallel cost evaluation, multi-start search, coarsening dedup,
-// tracker construction), so hot paths that enter and leave parallel
+// region (multi-start search, coarsening dedup, tracker construction,
+// synchronous FM rounds), so hot paths that enter and leave parallel
 // sections thousands of times do not pay thread spawn/join each call.
 // Batches are drained from a condition-variable task queue; the submitting
 // thread participates in its own batch, which both removes one context
@@ -54,18 +54,9 @@ class ThreadPool {
 void run_parallel(const std::vector<std::function<void()>>& tasks,
                   unsigned threads);
 
-/// Chunked parallel for over [0, count): fn(begin, end) per chunk. The
-/// chunk boundaries derive from min(threads, count), so two runs with
-/// different thread counts see different chunkings — safe only when the
-/// per-chunk work commutes exactly (independent slots, integer sums). For
-/// order-sensitive merging use parallel_for_grain below.
-void parallel_for_chunks(std::uint64_t count, unsigned threads,
-                         const std::function<void(std::uint64_t,
-                                                  std::uint64_t)>& fn);
-
-/// Fixed grain used by parallel_for_grain / parallel_reduce_stable when the
-/// caller passes grain == 0. A constant (never thread-derived) so chunk
-/// boundaries are a pure function of the item count.
+/// Fixed grain used by parallel_for_grain when the caller passes
+/// grain == 0. A constant (never thread-derived) so chunk boundaries are a
+/// pure function of the item count.
 inline constexpr std::uint64_t kStableGrain = 4096;
 
 /// Chunks [0, count) splits into at fixed grain g (ceil division).
@@ -81,32 +72,13 @@ inline constexpr std::uint64_t kStableGrain = 4096;
 /// outputs indexed by the chunk id and merged in chunk order are therefore
 /// bit-identical at any parallelism, which is the contract the
 /// deterministic coarsening / synchronous-FM propose phases build on.
+/// Work that only fills independent slots or sums integers (tracker
+/// construction) is identical under any chunking and uses it too.
 /// fn(chunk, begin, end) with dense chunk ids [0, num_grain_chunks).
 /// grain == 0 selects kStableGrain. Schedules nothing when count == 0.
 void parallel_for_grain(
     std::uint64_t count, std::uint64_t grain, unsigned threads,
     const std::function<void(std::size_t, std::uint64_t, std::uint64_t)>& fn);
-
-/// Stable parallel reduction: `map(begin, end) -> T` per fixed-grain chunk,
-/// then a sequential left fold of the per-chunk values in chunk order:
-/// fold(fold(init, map(chunk 0)), map(chunk 1)) ... — identical at any
-/// thread count even when fold does not commute (first-occurrence merges,
-/// float sums, concatenation).
-template <typename T, typename MapFn, typename FoldFn>
-[[nodiscard]] T parallel_reduce_stable(std::uint64_t count,
-                                       std::uint64_t grain, unsigned threads,
-                                       T init, const MapFn& map,
-                                       const FoldFn& fold) {
-  const std::size_t chunks = num_grain_chunks(count, grain);
-  const std::uint64_t g = grain == 0 ? kStableGrain : grain;
-  std::vector<T> partial(chunks);
-  parallel_for_grain(count, g, threads,
-                     [&](std::size_t c, std::uint64_t begin,
-                         std::uint64_t end) { partial[c] = map(begin, end); });
-  T acc = std::move(init);
-  for (T& p : partial) acc = fold(std::move(acc), std::move(p));
-  return acc;
-}
 
 /// A sensible default thread count (hardware concurrency, at least 1).
 [[nodiscard]] unsigned default_threads() noexcept;

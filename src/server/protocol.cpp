@@ -1,11 +1,14 @@
 #include "hyperpart/server/protocol.hpp"
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 
 namespace hp::server {
 
@@ -99,6 +102,43 @@ FrameError write_frame(int fd, const std::string& payload) {
   if (!write_exact(fd, header, sizeof header)) return FrameError::kIo;
   if (len > 0 && !write_exact(fd, payload.data(), len)) return FrameError::kIo;
   return FrameError::kNone;
+}
+
+int connect_unix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof addr.sun_path) {
+    errno = ENAMETOOLONG;
+    return -1;
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    return -1;
+  }
+  return fd;
+}
+
+std::optional<std::string> round_trip(int fd, const std::string& request) {
+  if (write_frame(fd, request) != FrameError::kNone) return std::nullopt;
+  std::string response;
+  if (read_frame(fd, response) != FrameError::kNone) return std::nullopt;
+  return response;
+}
+
+std::optional<obs::json::Value> rpc(int fd, const obs::json::Value& request) {
+  const auto response = round_trip(fd, obs::json::dump(request));
+  if (!response) return std::nullopt;
+  try {
+    return obs::json::parse(*response);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
 }
 
 }  // namespace hp::server

@@ -311,14 +311,14 @@ void Server::accept_loop(int listen_fd) {
     }
     std::lock_guard lock(threads_mu_);
     open_conns_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
+    std::thread([this, fd] { handle_connection(fd); }).detach();
   }
 }
 
 void Server::handle_connection(int fd) {
   std::string payload;
   for (;;) {
-    const FrameError err = read_frame(fd, payload, cfg_.max_frame);
+    const FrameError err = read_frame(fd, payload);
     if (err == FrameError::kClosed || err == FrameError::kIo) break;
     if (err != FrameError::kNone) {
       // Malformed stream: answer once with a diagnostic, then hang up —
@@ -339,11 +339,13 @@ void Server::handle_connection(int fd) {
     if (stopping_.load(std::memory_order_acquire)) break;
   }
   // Deregister before closing so shutdown() can never hit a recycled fd.
-  {
-    std::lock_guard lock(threads_mu_);
-    open_conns_.erase(fd);
-  }
+  // Notify under the lock: wait() sees the set empty only after the notify
+  // returned, and the Server may be destroyed then. (notify_all_at_thread_
+  // exit unlocks first, so the condition variable could already be gone.)
+  std::lock_guard lock(threads_mu_);
+  open_conns_.erase(fd);
   ::close(fd);
+  conns_drained_.notify_all();
 }
 
 std::string Server::handle_request(const std::string& payload,
@@ -597,20 +599,17 @@ void Server::wait() {
   while (!stopping_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  // Collect threads. Connection threads may still be finishing requests;
-  // join order (accepts first) does not matter since both sets only exit.
-  for (;;) {
-    std::vector<std::thread> grab;
-    {
-      std::lock_guard lock(threads_mu_);
-      grab.swap(accept_threads_);
-      for (auto& t : conn_threads_) grab.push_back(std::move(t));
-      conn_threads_.clear();
-    }
-    if (grab.empty()) break;
-    for (auto& t : grab) {
-      if (t.joinable()) t.join();
-    }
+  std::vector<std::thread> accepts;
+  {
+    std::lock_guard lock(threads_mu_);
+    accepts.swap(accept_threads_);
+  }
+  for (auto& t : accepts) t.join();
+  // No accept thread is left to add connections; let in-flight requests
+  // finish and their threads exit.
+  {
+    std::unique_lock lock(threads_mu_);
+    conns_drained_.wait(lock, [&] { return open_conns_.empty(); });
   }
   if (unix_fd_ >= 0) {
     ::close(unix_fd_);

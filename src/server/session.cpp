@@ -8,8 +8,6 @@
 #include <stdexcept>
 
 #include "hyperpart/algo/incremental.hpp"
-#include "hyperpart/algo/vcycle.hpp"
-#include "hyperpart/io/hmetis_io.hpp"
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/stream/binary_format.hpp"
 
@@ -39,15 +37,8 @@ GraphSession::GraphSession(Hypergraph g, std::string name)
 }
 
 std::unique_ptr<GraphSession> GraphSession::from_file(const std::string& path) {
-  Hypergraph g;
-  if (stream::is_binary_file(path)) {
-    // mmap once, copy the sections into mutable storage, drop the mapping.
-    stream::MappedHypergraph mapped(path);
-    g = mapped.materialize();
-  } else {
-    g = read_hmetis_file(path);
-  }
-  return std::unique_ptr<GraphSession>(new GraphSession(std::move(g), path));
+  return std::unique_ptr<GraphSession>(
+      new GraphSession(stream::read_hypergraph_file(path), path));
 }
 
 std::unique_ptr<GraphSession> GraphSession::from_graph(Hypergraph g,

@@ -110,6 +110,11 @@ bool is_binary_file(const std::string& path) {
   return in.gcount() == 4 && std::memcmp(magic, kMagic, 4) == 0;
 }
 
+Hypergraph read_hypergraph_file(const std::string& path) {
+  return is_binary_file(path) ? MappedHypergraph(path).materialize()
+                              : read_hmetis_file(path);
+}
+
 MappedHypergraph::MappedHypergraph(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {

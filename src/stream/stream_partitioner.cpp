@@ -12,6 +12,11 @@ namespace hp::stream {
 
 namespace {
 
+/// α: strength of the fractional balance penalty.
+constexpr double kBalancePenalty = 1.0;
+/// γ: penalty growth exponent in the part-fill fraction.
+constexpr double kPenaltyExponent = 2.0;
+
 /// Deterministic tie-break hash: mixes (seed, node, part) through one
 /// SplitMix64 step.
 [[nodiscard]] std::uint64_t tie_hash(std::uint64_t seed, NodeId v,
@@ -88,7 +93,7 @@ std::optional<StreamResult> stream_partition(const MappedHypergraph& g,
 
       // Pick the feasible part with the best fractional greedy score.
       const double penalty_scale =
-          cfg.balance_penalty *
+          kBalancePenalty *
           (static_cast<double>(g.degree(v)) + 1.0);
       PartId best = kInvalidPart;
       double best_score = 0;
@@ -103,7 +108,7 @@ std::optional<StreamResult> stream_partition(const MappedHypergraph& g,
                                 : 0.0;
         const double score =
             static_cast<double>(benefit[q]) -
-            penalty_scale * std::pow(fill, cfg.penalty_exponent);
+            penalty_scale * std::pow(fill, kPenaltyExponent);
         const std::uint64_t h = tie_hash(cfg.seed, v, q);
         const bool better =
             best == kInvalidPart || score > best_score ||

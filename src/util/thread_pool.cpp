@@ -178,26 +178,6 @@ void run_parallel(const std::vector<std::function<void()>>& tasks,
   if (error) std::rethrow_exception(error);
 }
 
-void parallel_for_chunks(
-    std::uint64_t count, unsigned threads,
-    const std::function<void(std::uint64_t, std::uint64_t)>& fn) {
-  if (count == 0) return;
-  const unsigned workers = std::max<unsigned>(
-      1, static_cast<unsigned>(
-             std::min<std::uint64_t>(threads == 0 ? 1 : threads, count)));
-  if (workers == 1) {
-    fn(0, count);
-    return;
-  }
-  std::vector<std::function<void()>> tasks;
-  const std::uint64_t chunk = (count + workers - 1) / workers;
-  for (std::uint64_t begin = 0; begin < count; begin += chunk) {
-    const std::uint64_t end = std::min(count, begin + chunk);
-    tasks.push_back([begin, end, &fn]() { fn(begin, end); });
-  }
-  run_parallel(tasks, workers);
-}
-
 void parallel_for_grain(
     std::uint64_t count, std::uint64_t grain, unsigned threads,
     const std::function<void(std::size_t, std::uint64_t, std::uint64_t)>&

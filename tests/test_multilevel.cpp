@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "hyperpart/algo/coarsening.hpp"
 #include "hyperpart/algo/greedy.hpp"
 #include "hyperpart/algo/recursive_bisection.hpp"
@@ -94,6 +96,54 @@ TEST(RecursiveBisection, PowerOfTwoOnly) {
   const auto p = recursive_bisection(g, 4, 0.2, {});
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->k(), 4u);
+}
+
+TEST(Vcycle, NeverIncreasesCostAndStaysBalanced) {
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const Hypergraph g = random_hypergraph(150, 220, 2, 5, seed + 500);
+    const auto balance = BalanceConstraint::for_graph(g, 3, 0.1, true);
+    auto p = random_balanced_partition(g, balance, seed);
+    ASSERT_TRUE(p.has_value());
+    const Weight before = cost(g, *p, CostMetric::kConnectivity);
+    MultilevelConfig cfg;
+    cfg.seed = seed;
+    const Weight after = vcycle_refine(g, *p, balance, cfg, 2);
+    EXPECT_LE(after, before);
+    EXPECT_EQ(after, cost(g, *p, CostMetric::kConnectivity));
+    EXPECT_TRUE(balance.satisfied(g, *p));
+  }
+}
+
+TEST(Vcycle, ImprovesOverPlainFmOnStructuredInstance) {
+  const Hypergraph g = spmv_hypergraph(40, 40, 500, 3);
+  const auto balance = BalanceConstraint::for_graph(g, 4, 0.1, true);
+  auto p = random_balanced_partition(g, balance, 9);
+  ASSERT_TRUE(p.has_value());
+  MultilevelConfig cfg;
+  cfg.seed = 1;
+  const Weight after = vcycle_refine(g, *p, balance, cfg, 3);
+  // Not a strict guarantee, but on this structured instance V-cycles find
+  // much more than single-level moves from a random start.
+  EXPECT_LT(after, cost(g, *random_balanced_partition(g, balance, 9),
+                        CostMetric::kConnectivity));
+}
+
+TEST(Vcycle, PartitionAwareCoarseningKeepsParts) {
+  const Hypergraph g = random_hypergraph(60, 90, 2, 4, 11);
+  std::vector<PartId> assign(60);
+  for (NodeId v = 0; v < 60; ++v) assign[v] = v % 2;
+  const Partition p(std::move(assign), 2);
+  const CoarseLevel level = coarsen_once(g, 10, 5, &p);
+  // Every cluster must be monochromatic under p.
+  std::vector<PartId> cluster_part(level.graph.num_nodes(), kInvalidPart);
+  for (NodeId v = 0; v < 60; ++v) {
+    auto& q = cluster_part[level.fine_to_coarse[v]];
+    if (q == kInvalidPart) {
+      q = p[v];
+    } else {
+      EXPECT_EQ(q, p[v]) << "cluster mixes parts";
+    }
+  }
 }
 
 }  // namespace

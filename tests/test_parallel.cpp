@@ -1,4 +1,4 @@
-#include "hyperpart/algo/parallel.hpp"
+#include "hyperpart/algo/multilevel.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "hyperpart/dag/hyperdag.hpp"
 #include "hyperpart/io/dag_families.hpp"
 #include "hyperpart/io/generators.hpp"
-#include "hyperpart/util/rng.hpp"
 #include "hyperpart/util/thread_pool.hpp"
 
 namespace hp {
@@ -30,11 +29,12 @@ TEST(ThreadPool, RunsEveryTaskOnce) {
 
 TEST(ThreadPool, ChunksCoverRangeExactly) {
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for_chunks(1000, 7, [&](std::uint64_t b, std::uint64_t e) {
-    for (std::uint64_t i = b; i < e; ++i) {
-      hits[i].fetch_add(1);
-    }
-  });
+  parallel_for_grain(1000, 64, 7,
+                     [&](std::size_t, std::uint64_t b, std::uint64_t e) {
+                       for (std::uint64_t i = b; i < e; ++i) {
+                         hits[i].fetch_add(1);
+                       }
+                     });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -55,9 +55,12 @@ TEST(ThreadPool, PersistsAcrossCalls) {
   const std::uint64_t before = pool.batches_executed();
   for (int round = 0; round < 50; ++round) {
     std::vector<std::atomic<int>> hits(64);
-    parallel_for_chunks(64, 4, [&](std::uint64_t b, std::uint64_t e) {
-      for (std::uint64_t i = b; i < e; ++i) hits[i].fetch_add(1);
-    });
+    parallel_for_grain(64, 16, 4,
+                       [&](std::size_t, std::uint64_t b, std::uint64_t e) {
+                         for (std::uint64_t i = b; i < e; ++i) {
+                           hits[i].fetch_add(1);
+                         }
+                       });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
   EXPECT_EQ(pool.num_workers(), workers);
@@ -74,9 +77,10 @@ TEST(ThreadPool, NestedSubmissionCompletes) {
   std::vector<std::function<void()>> outer;
   for (int i = 0; i < 4; ++i) {
     outer.push_back([&]() {
-      parallel_for_chunks(100, 4, [&](std::uint64_t b, std::uint64_t e) {
-        total.fetch_add(static_cast<int>(e - b));
-      });
+      parallel_for_grain(100, 25, 4,
+                         [&](std::size_t, std::uint64_t b, std::uint64_t e) {
+                           total.fetch_add(static_cast<int>(e - b));
+                         });
     });
   }
   run_parallel(outer, 4);
@@ -86,7 +90,7 @@ TEST(ThreadPool, NestedSubmissionCompletes) {
 TEST(ThreadPool, ZeroItemRangesAreNoOps) {
   // Empty work must return immediately without touching the pool.
   bool called = false;
-  parallel_for_chunks(0, 4, [&](std::uint64_t, std::uint64_t) {
+  parallel_for_grain(0, 16, 4, [&](std::size_t, std::uint64_t, std::uint64_t) {
     called = true;
   });
   EXPECT_FALSE(called);
@@ -95,21 +99,21 @@ TEST(ThreadPool, ZeroItemRangesAreNoOps) {
 }
 
 TEST(ThreadPool, NestedParallelForChunksFromWorker) {
-  // parallel_for_chunks issued from inside a pool task (the common shape
+  // parallel_for_grain issued from inside a pool task (the common shape
   // in restream's propose phase) must complete and cover both ranges.
   std::atomic<int> outer_hits{0};
   std::atomic<int> inner_hits{0};
-  parallel_for_chunks(8, 4, [&](std::uint64_t b, std::uint64_t e) {
+  parallel_for_grain(8, 2, 4, [&](std::size_t, std::uint64_t b,
+                                  std::uint64_t e) {
     outer_hits.fetch_add(static_cast<int>(e - b));
-    parallel_for_chunks(50, 3, [&](std::uint64_t ib, std::uint64_t ie) {
-      inner_hits.fetch_add(static_cast<int>(ie - ib));
-    });
+    parallel_for_grain(50, 16, 3,
+                       [&](std::size_t, std::uint64_t ib, std::uint64_t ie) {
+                         inner_hits.fetch_add(static_cast<int>(ie - ib));
+                       });
   });
   EXPECT_EQ(outer_hits.load(), 8);
-  // One inner sweep of 50 per outer chunk; chunk count depends on the
-  // split, so check divisibility and coverage.
-  EXPECT_GT(inner_hits.load(), 0);
-  EXPECT_EQ(inner_hits.load() % 50, 0);
+  // One full inner sweep of 50 per outer chunk (4 chunks of grain 2).
+  EXPECT_EQ(inner_hits.load(), 4 * 50);
 }
 
 TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
@@ -138,6 +142,14 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
   }
   run_parallel(ok, 4);
   EXPECT_EQ(after.load(), 8);
+
+  // parallel_for_grain rethrows a chunk's exception the same way.
+  EXPECT_THROW(parallel_for_grain(64, 8, 4,
+                                  [](std::size_t c, std::uint64_t,
+                                     std::uint64_t) {
+                                    if (c == 3) throw std::runtime_error("c3");
+                                  }),
+               std::runtime_error);
 }
 
 TEST(ThreadPool, ExceptionFromDirectPoolRun) {
@@ -203,22 +215,6 @@ TEST(Fm, GainCacheEngineNeverWorsensAndStaysBalanced) {
     EXPECT_LE(cached_cost, cost(g, *start, CostMetric::kConnectivity));
     EXPECT_TRUE(balance.satisfied(g, a));
     EXPECT_EQ(cached_cost, cost(g, a, CostMetric::kConnectivity));
-  }
-}
-
-TEST(Parallel, CostMatchesSequentialAcrossThreadCounts) {
-  const Hypergraph g = random_hypergraph(200, 400, 2, 6, 3);
-  Rng rng{4};
-  std::vector<PartId> assign(200);
-  for (auto& a : assign) a = static_cast<PartId>(rng.next_below(4));
-  const Partition p(std::move(assign), 4);
-  for (const CostMetric metric :
-       {CostMetric::kCutNet, CostMetric::kConnectivity}) {
-    const Weight expected = cost(g, p, metric);
-    for (const unsigned threads : {1u, 2u, 4u, 16u}) {
-      EXPECT_EQ(parallel_cost(g, p, metric, threads), expected)
-          << "threads " << threads;
-    }
   }
 }
 

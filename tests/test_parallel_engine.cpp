@@ -126,13 +126,14 @@ TEST(SyncFm, IdenticalAcrossThreadCounts) {
   }
 }
 
-// Whole-pipeline determinism with the sync path forced onto every level.
+// Whole-pipeline determinism on an instance above the sync-FM size gate:
+// the finest levels refine through the synchronous-round engine.
 TEST(SyncFm, MultilevelSyncPathIdenticalAcrossThreadCounts) {
-  const Hypergraph g = random_hypergraph(2000, 3200, 2, 6, 77);
+  const Hypergraph g = random_hypergraph(30000, 48000, 2, 6, 77);
+  ASSERT_GE(g.num_nodes(), kSyncFmMinNodes);
   const auto balance = BalanceConstraint::for_graph(g, 4, 0.1, true);
   MultilevelConfig cfg;
   cfg.seed = 9;
-  cfg.sync_fm_min_nodes = 0;  // force sync rounds everywhere
   std::optional<Partition> base;
   for (const unsigned t : {1u, 2u, 4u, 8u}) {
     cfg.fm.threads = t;
@@ -243,34 +244,6 @@ TEST(ParallelForGrain, ChunkBoundariesAreAPureFunctionOfCount) {
     EXPECT_EQ(bounds[1], (std::pair<std::uint64_t, std::uint64_t>{10, 20}));
     EXPECT_EQ(bounds[2], (std::pair<std::uint64_t, std::uint64_t>{20, 25}));
   }
-}
-
-TEST(ParallelReduceStable, FoldsInChunkOrderAtAnyThreadCount) {
-  // Non-commutative fold (concatenation): order must be chunk order.
-  std::vector<std::uint64_t> expect(100);
-  for (std::uint64_t i = 0; i < 100; ++i) expect[i] = i;
-  for (const unsigned t : {1u, 2u, 8u}) {
-    const auto got = parallel_reduce_stable(
-        100, 16, t, std::vector<std::uint64_t>{},
-        [](std::uint64_t b, std::uint64_t e) {
-          std::vector<std::uint64_t> out;
-          for (std::uint64_t i = b; i < e; ++i) out.push_back(i);
-          return out;
-        },
-        [](std::vector<std::uint64_t> acc, std::vector<std::uint64_t> part) {
-          acc.insert(acc.end(), part.begin(), part.end());
-          return acc;
-        });
-    EXPECT_EQ(got, expect) << t << " threads";
-  }
-}
-
-TEST(ParallelReduceStable, EmptyRangeYieldsInit) {
-  const auto got = parallel_reduce_stable(
-      0, 0, 4, 41,
-      [](std::uint64_t, std::uint64_t) { return 1; },
-      [](int acc, int part) { return acc + part; });
-  EXPECT_EQ(got, 41);
 }
 
 }  // namespace

@@ -55,13 +55,6 @@ TEST(Metrics, CutEdgesLists) {
   EXPECT_EQ(cut[1], 3u);
 }
 
-TEST(Metrics, SumExternalDegrees) {
-  const Hypergraph g = example();
-  Partition p({0, 0, 0, 1, 1, 1}, 2);
-  // Cut edges 1 and 3, each λ = 2.
-  EXPECT_EQ(sum_external_degrees(g, p), 4);
-}
-
 TEST(Metrics, UnassignedPinsIgnored) {
   const Hypergraph g = example();
   Partition p(6, 2);

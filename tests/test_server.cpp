@@ -61,29 +61,6 @@ void write_all(int fd, const void* data, std::size_t len) {
   ASSERT_EQ(::write(fd, data, len), static_cast<ssize_t>(len));
 }
 
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-std::optional<json::Value> rpc(int fd, const json::Value& request) {
-  if (write_frame(fd, json::dump(request)) != FrameError::kNone) {
-    return std::nullopt;
-  }
-  std::string payload;
-  if (read_frame(fd, payload) != FrameError::kNone) return std::nullopt;
-  return json::parse(payload);
-}
-
 json::Value req(const std::string& op) {
   json::Object o;
   o.emplace_back("op", op);
@@ -784,6 +761,32 @@ TEST(ServerTest, StatsListsEveryServerCounter) {
   for (const auto& [name, value] : counters->as_object()) {
     EXPECT_TRUE(name.starts_with("server.")) << name;
   }
+}
+
+/// Entries in this process's memory map. A thread stack that is never
+/// released keeps at least one.
+std::size_t map_entries() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(ServerTest, ExitedConnectionThreadsReleaseTheirStacks) {
+  // Every connection runs on its own thread. A thread that has exited but
+  // is joined only at shutdown keeps its stack mapped, so 300 short
+  // connections would add at least 300 map entries.
+  RunningServer rs;
+  const auto cycle = [&] {
+    const int fd = connect_unix(rs.sock);
+    ASSERT_GE(fd, 0);
+    EXPECT_TRUE(ok_of(rpc(fd, req("stats"))));
+    ::close(fd);
+  };
+  for (int i = 0; i < 20; ++i) cycle();  // warm up allocator arenas
+  const std::size_t before = map_entries();
+  for (int i = 0; i < 300; ++i) cycle();
+  EXPECT_LT(map_entries(), before + 100);
 }
 
 TEST(ServerTest, StructuralUpdateAndVersionPinningOverSocket) {

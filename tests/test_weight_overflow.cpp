@@ -10,6 +10,9 @@
 #include <limits>
 
 #include "hyperpart/algo/annealing.hpp"
+#include "hyperpart/algo/branch_and_bound.hpp"
+#include "hyperpart/algo/brute_force.hpp"
+#include "hyperpart/algo/greedy.hpp"
 #include "hyperpart/algo/incremental.hpp"
 #include "hyperpart/core/balance.hpp"
 #include "hyperpart/core/connectivity_tracker.hpp"
@@ -61,7 +64,6 @@ TEST(WeightOverflow, ConnectivityCostSaturates) {
   p.assign(1, 1);
   p.assign(2, 2);
   EXPECT_EQ(cost(g, p, CostMetric::kConnectivity), kMax);
-  EXPECT_EQ(sum_external_degrees(g, p), kMax);
 }
 
 TEST(WeightOverflow, TotalNodeWeightSaturates) {
@@ -135,6 +137,50 @@ TEST(WeightOverflow, AnnealingCapacityCheckSaturates) {
   ASSERT_TRUE(p.has_value());
   EXPECT_TRUE(b.satisfied(g, *p));
   EXPECT_NE((*p)[0], (*p)[1]);
+}
+
+/// Three nodes just above kMax/2 into two parts: any two of them overflow
+/// a part, so no balanced partition exists. Greedy growing fills part 0
+/// with one node and leaves two for its leftover loop, which must refuse
+/// instead of letting the wrapped load of part 1 pass the capacity check.
+TEST(WeightOverflow, GreedyGrowingLeftoverCapacityCheckSaturates) {
+  Hypergraph g = Hypergraph::from_edges(3, {{0, 1}, {1, 2}});
+  const Weight w = kMax / 2 + 100;
+  g.set_node_weights({w, w, w});
+  const auto b = BalanceConstraint::with_capacity(2, kMax - 10, 0.0);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const auto p =
+        greedy_growing_partition(g, b, CostMetric::kConnectivity, seed);
+    EXPECT_FALSE(p.has_value()) << "seed " << seed;
+  }
+}
+
+/// Nodes 0 and 1 together overflow a part, so every balanced partition
+/// cuts edge {0, 1}; the optimum {0} | {1, 2} costs 1. Exact solvers that
+/// let the wrapped load through report the infeasible all-in-one-part
+/// partition at cost 0.
+Hypergraph near_max_pair() {
+  Hypergraph g = Hypergraph::from_edges(3, {{0, 1}, {1, 2}});
+  g.set_node_weights({kMax - 10, kMax - 10, 5});
+  return g;
+}
+
+TEST(WeightOverflow, BruteForceCapacityCheckSaturates) {
+  const Hypergraph g = near_max_pair();
+  const auto b = BalanceConstraint::with_capacity(2, kMax - 5, 0.0);
+  const auto res = brute_force_partition(g, b);
+  ASSERT_TRUE(res.has_value());
+  EXPECT_TRUE(b.satisfied(g, res->partition));
+  EXPECT_EQ(res->cost, 1);
+}
+
+TEST(WeightOverflow, BranchAndBoundCapacityCheckSaturates) {
+  const Hypergraph g = near_max_pair();
+  const auto b = BalanceConstraint::with_capacity(2, kMax - 5, 0.0);
+  const auto res = branch_and_bound_partition(g, b);
+  ASSERT_TRUE(res.has_value());
+  EXPECT_TRUE(b.satisfied(g, res->partition));
+  EXPECT_EQ(res->cost, 1);
 }
 
 }  // namespace

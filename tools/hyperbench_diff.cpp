@@ -21,9 +21,10 @@
 // metrics (fm_speedup) and noisy ones (ms, peak_rss_kb) should be excluded
 // via --ignore / --ignore-suffix. Two rules are derived from the field
 // name and value alone and hold whatever the tolerance: a field ending in
-// "_hash" is an identity and must equal the baseline exactly, and a
-// negative candidate where the baseline is non-negative is a regression
-// (the leg stopped running). A negative baseline value is a "leg not run"
+// "_hash" or "_moved" (partition hashes, moved-node counts) is an identity
+// and must equal the baseline exactly in both directions, and a negative
+// candidate where the baseline is non-negative is a regression (the leg
+// stopped running). A negative baseline value is a "leg not run"
 // sentinel and skips the comparison. A baseline row
 // missing from the candidate is a failure unless --allow-missing is given
 // (for CI gates that run only the quick/smoke subset of a full committed
@@ -277,7 +278,7 @@ int main(int argc, char** argv) {
       ++regressions;
       continue;
     }
-    if (ends_with(field, "_hash")) {
+    if (ends_with(field, "_hash") || ends_with(field, "_moved")) {
       if (cand_value != base_value) {
         std::cout << "REGRESSION " << metric << ": "
                   << static_cast<std::int64_t>(base_value) << " -> "

@@ -34,7 +34,6 @@
 #include "hyperpart/fuzz/instance_gen.hpp"
 #include "hyperpart/fuzz/oracle.hpp"
 #include "hyperpart/fuzz/shrinker.hpp"
-#include "hyperpart/io/hmetis_io.hpp"
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/stream/binary_format.hpp"
 #include "hyperpart/util/parse.hpp"
@@ -87,11 +86,7 @@ int replay(const std::string& path, hp::PartId k, double eps,
            hp::CostMetric metric, std::uint64_t seed,
            const hp::fuzz::OracleOptions& oopts) {
   hp::fuzz::FuzzInstance inst;
-  if (hp::stream::is_binary_file(path)) {
-    inst.graph = hp::stream::MappedHypergraph(path).materialize();
-  } else {
-    inst.graph = hp::read_hmetis_file(path);
-  }
+  inst.graph = hp::stream::read_hypergraph_file(path);
   inst.k = k;
   inst.epsilon = eps;
   inst.metric = metric;

@@ -336,11 +336,9 @@ int main(int argc, char** argv) {
 
   if (write_hgr_path) {
     try {
-      const hp::Hypergraph g =
-          workload ? std::move(workload->graph)
-          : hp::stream::is_binary_file(*path)
-              ? hp::stream::MappedHypergraph(*path).materialize()
-              : hp::read_hmetis_file(*path);
+      const hp::Hypergraph g = workload
+                                   ? std::move(workload->graph)
+                                   : hp::stream::read_hypergraph_file(*path);
       hp::write_hmetis_file(*write_hgr_path, g);
       std::cout << g.summary() << "\n"
                 << "hgr written to " << *write_hgr_path << "\n";
@@ -395,9 +393,7 @@ int main(int argc, char** argv) {
   hp::Hypergraph graph;
   try {
     graph = workload ? std::move(workload->graph)
-            : hp::stream::is_binary_file(*path)
-                ? hp::stream::MappedHypergraph(*path).materialize()
-                : hp::read_hmetis_file(*path);
+                     : hp::stream::read_hypergraph_file(*path);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

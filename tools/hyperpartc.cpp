@@ -33,7 +33,6 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -80,21 +79,10 @@ namespace {
 
 int connect_to(const std::string& socket_path, int tcp_port) {
   if (!socket_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (socket_path.size() >= sizeof addr.sun_path) {
-      std::cerr << "error: socket path too long\n";
-      return -1;
-    }
-    std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-        0) {
+    const int fd = hp::server::connect_unix(socket_path);
+    if (fd < 0) {
       std::cerr << "error: cannot connect to " << socket_path << ": "
                 << std::strerror(errno) << "\n";
-      ::close(fd);
-      return -1;
     }
     return fd;
   }
@@ -112,18 +100,6 @@ int connect_to(const std::string& socket_path, int tcp_port) {
     return -1;
   }
   return fd;
-}
-
-/// One request/response round trip; nullopt on transport failure.
-std::optional<std::string> round_trip(int fd, const std::string& request) {
-  if (hp::server::write_frame(fd, request) != hp::server::FrameError::kNone) {
-    return std::nullopt;
-  }
-  std::string response;
-  if (hp::server::read_frame(fd, response) != hp::server::FrameError::kNone) {
-    return std::nullopt;
-  }
-  return response;
 }
 
 /// Parse "ID=W" into a [id, weight] JSON pair.
@@ -433,7 +409,7 @@ int main(int argc, char** argv) {
             payload = json::dump(req);
           }
           const auto t0 = std::chrono::steady_clock::now();
-          const auto response = round_trip(fd, payload);
+          const auto response = hp::server::round_trip(fd, payload);
           const auto t1 = std::chrono::steady_clock::now();
           if (!response) {
             ++stats.failures;
@@ -486,7 +462,7 @@ int main(int argc, char** argv) {
 
   const int fd = connect_to(socket_path, tcp_port);
   if (fd < 0) return 1;
-  const auto response = round_trip(fd, request);
+  const auto response = hp::server::round_trip(fd, request);
   ::close(fd);
   if (!response) {
     std::cerr << "error: transport failure talking to the server\n";
