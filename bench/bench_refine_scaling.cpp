@@ -125,7 +125,7 @@ namespace {
 HP_BENCH_CASE(kernel_microbench,
               "Hot-kernel microbench at fixed n=100k (same instance in smoke "
               "and full runs): tracker build, gain-cache fill, sequential and "
-              "sync FM, and arena-backed coarsening; costs, moved counts, and "
+              "sync FM, and coarsening; costs, moved counts, and "
               "partition hashes are hard-gated bit-identical at 1/2/4/8 "
               "threads and pinned against the committed baseline") {
   // Deliberately NOT reduced under --smoke: the CI perf ratchet diffs these
@@ -222,55 +222,32 @@ HP_BENCH_CASE(kernel_microbench,
   }
   kernels.print();
 
-  // Coarsening with the reusable scratch pool: the cold run pays the block
-  // fetches, the warm run (same seed, after reset()) must fetch none — that
-  // reuse is the hard gate. Arena stats land as per-case _kb telemetry
-  // (bench_util's VmHWM is process-global and useless per phase).
-  bench::banner("Hot-kernel microbench (arena-backed coarsening)");
+  // One coarsening level: the coarse node and pin counts are hard-gated
+  // identical at every thread count and pinned against the baseline.
+  bench::banner("Hot-kernel microbench (coarsening)");
   auto coarsen = ctx.table({{"threads", "threads"},
-                            {"coarsen_cold_ms", "cold ms"},
-                            {"coarsen_warm_ms", "warm ms"},
+                            {"coarsen_cold_ms", "ms"},
                             {"coarse_nodes", "coarse n"},
-                            {"coarse_pins", "coarse pins"},
-                            {"arena_reserved_kb", "reserved kb"},
-                            {"arena_peak_used_kb", "peak kb"},
-                            {"arena_blocks", "blocks"},
-                            {"arena_oversize", "oversize"},
-                            {"arena_oversize_kb", "oversize kb"}});
+                            {"coarse_pins", "coarse pins"}});
   const auto coarse_balance = BalanceConstraint::for_graph(g, 8, 0.1, true);
   const Weight max_cluster =
       std::max<Weight>(1, coarse_balance.capacity() / 3);
   NodeId base_coarse_nodes = 0;
+  std::uint64_t base_coarse_pins = 0;
   for (const unsigned t : thread_counts) {
-    CoarsenMemory mem;
     Timer timer;
-    const CoarseLevel cold = coarsen_once(g, max_cluster, 99, nullptr, t, &mem);
+    const CoarseLevel level = coarsen_once(g, max_cluster, 99, nullptr, t);
     const double cold_ms = timer.millis();
-    const std::uint64_t blocks_cold = mem.block_allocations();
-    const std::uint64_t oversize_cold = mem.oversize_allocations();
-    timer.reset();
-    const CoarseLevel warm = coarsen_once(g, max_cluster, 99, nullptr, t, &mem);
-    const double warm_ms = timer.millis();
-
-    const std::string at = " at threads=" + std::to_string(t);
-    ctx.check(mem.block_allocations() == blocks_cold,
-              "warm coarsening fetches no new arena blocks" + at);
-    ctx.check(mem.oversize_allocations() == oversize_cold,
-              "warm coarsening makes no new oversize allocations" + at);
-    ctx.check(warm.graph.num_nodes() == cold.graph.num_nodes() &&
-                  warm.graph.num_pins() == cold.graph.num_pins(),
-              "warm rerun reproduces the cold coarsening" + at);
     if (t == thread_counts.front()) {
-      base_coarse_nodes = cold.graph.num_nodes();
+      base_coarse_nodes = level.graph.num_nodes();
+      base_coarse_pins = level.graph.num_pins();
     } else {
-      ctx.check(cold.graph.num_nodes() == base_coarse_nodes,
-                "coarse node count identical" + at);
+      const std::string at = " at threads=" + std::to_string(t);
+      ctx.check(level.graph.num_nodes() == base_coarse_nodes &&
+                    level.graph.num_pins() == base_coarse_pins,
+                "coarse node and pin counts identical" + at);
     }
-
-    coarsen.row(t, cold_ms, warm_ms, cold.graph.num_nodes(),
-                cold.graph.num_pins(), mem.reserved_bytes() / 1024,
-                mem.peak_used_bytes() / 1024, mem.block_allocations(),
-                mem.oversize_allocations(), mem.oversize_bytes() / 1024);
+    coarsen.row(t, cold_ms, level.graph.num_nodes(), level.graph.num_pins());
   }
   coarsen.print();
 

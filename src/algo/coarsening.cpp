@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <unordered_map>
 
 #include "hyperpart/obs/telemetry.hpp"
@@ -12,25 +13,28 @@ namespace hp {
 
 namespace {
 
-struct VectorHash {
-  template <typename PinVec>
-  std::size_t operator()(const PinVec& v) const noexcept {
-    std::size_t h = v.size();
-    for (const NodeId x : v) {
+struct PinHash {
+  std::size_t operator()(std::span<const NodeId> pins) const noexcept {
+    std::size_t h = pins.size();
+    for (const NodeId x : pins) {
       h ^= x + 0x9e3779b9 + (h << 6) + (h >> 2);
     }
     return h;
   }
 };
 
-/// Projected coarse pin lists live in the per-chunk dedup arenas: built,
-/// sorted, and deduplicated in place, then the surviving ones are handed to
-/// the shard merge by pointer (the arenas outlive the merge).
-using ArenaPins = ArenaVector<NodeId>;
+struct PinEqual {
+  bool operator()(std::span<const NodeId> a,
+                  std::span<const NodeId> b) const noexcept {
+    return std::ranges::equal(a, b);
+  }
+};
 
-/// A coarse pin list awaiting dedup, tagged with its weight.
+/// A projected coarse pin list awaiting dedup: `size` pins at `offset` in
+/// its edge chunk's flat pin buffer, tagged with the edge weight.
 struct PendingEdge {
-  ArenaPins pins;
+  std::size_t offset;
+  NodeId size;
   Weight weight;
 };
 
@@ -80,34 +84,24 @@ ProposeScratch& propose_scratch(NodeId n) {
 
 CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
                          std::uint64_t seed,
-                         const Partition* restrict_parts, unsigned threads,
-                         CoarsenMemory* mem) {
+                         const Partition* restrict_parts, unsigned threads) {
   const NodeId n = g.num_nodes();
   const unsigned workers = threads == 0 ? 1 : threads;
-  // Callers that don't hold scratch across levels get a call-local arena —
-  // the bump allocation still collapses this level's many small heap
-  // round-trips into a few block fetches.
-  CoarsenMemory local_mem;
-  CoarsenMemory& scratch_mem = mem != nullptr ? *mem : local_mem;
-  scratch_mem.reset();
-  Arena& seq_arena = scratch_mem.seq();
 
   // --- Parallel clustering rounds ------------------------------------------
   // cluster[v] is the id of the leader node of v's cluster (flat: members
   // point directly at their leader, and a leader that has accepted members
   // never merges away, so no path compression is needed). cweight/csize are
   // maintained for leaders.
-  ArenaVector<NodeId> cluster(n, ArenaAllocator<NodeId>(seq_arena));
+  std::vector<NodeId> cluster(n);
   std::iota(cluster.begin(), cluster.end(), NodeId{0});
-  ArenaVector<Weight> cweight(n, ArenaAllocator<Weight>(seq_arena));
-  ArenaVector<NodeId> csize(n, 1, ArenaAllocator<NodeId>(seq_arena));
+  std::vector<Weight> cweight(n);
+  std::vector<NodeId> csize(n, 1);
   for (NodeId v = 0; v < n; ++v) cweight[v] = g.node_weight(v);
 
-  ArenaVector<NodeId> proposal(n, kInvalidNode,
-                               ArenaAllocator<NodeId>(seq_arena));
-  ArenaVector<double> prio(n, 0.0, ArenaAllocator<double>(seq_arena));
-  ArenaVector<NodeId> winner(n, kInvalidNode,
-                             ArenaAllocator<NodeId>(seq_arena));
+  std::vector<NodeId> proposal(n, kInvalidNode);
+  std::vector<double> prio(n, 0.0);
+  std::vector<NodeId> winner(n, kInvalidNode);
   NodeId clusters = n;
 
   for (int round = 0; round < kProposalRounds; ++round) {
@@ -222,14 +216,12 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
   // a parallel fill. Chunk boundaries are a pure function of n, so the
   // numbering is the same for every thread count.
   CoarseLevel level;
-  ArenaVector<NodeId> coarse_id(n, kInvalidNode,
-                                ArenaAllocator<NodeId>(seq_arena));
+  std::vector<NodeId> coarse_id(n, kInvalidNode);
   std::vector<Weight> coarse_node_weight;  // escapes into the coarse graph
   {
     HP_SPAN("contract");
     const std::size_t chunks = num_grain_chunks(n, kStableGrain);
-    ArenaVector<NodeId> chunk_leaders(chunks, 0,
-                                      ArenaAllocator<NodeId>(seq_arena));
+    std::vector<NodeId> chunk_leaders(chunks, 0);
     parallel_for_grain(n, kStableGrain, workers,
                        [&](std::size_t c, std::uint64_t begin,
                            std::uint64_t end) {
@@ -282,46 +274,45 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
   // independently. Shards only ever see disjoint key sets, so the merge
   // phase is embarrassingly parallel; within a shard the buckets are
   // visited in chunk order, which preserves first-occurrence edge order
-  // for every chunking.
+  // for every chunking. Each chunk writes its projected pin lists back to
+  // back into one flat buffer, reserved to the chunk's pin count, so the
+  // scatter allocates per chunk, never per edge; the merge keys its maps
+  // on spans into those buffers.
   const EdgeId m = g.num_edges();
   const std::size_t edge_chunks = num_grain_chunks(m, kStableGrain);
-  scratch_mem.ensure_chunks(edge_chunks);
-  using ChunkBuckets = ArenaVector<ArenaVector<PendingEdge>>;
-  std::vector<ChunkBuckets> buckets;
-  buckets.reserve(edge_chunks);
-  for (std::size_t c = 0; c < edge_chunks; ++c) {
-    Arena& a = scratch_mem.chunk(c);
-    ChunkBuckets shard_vec{ArenaAllocator<ArenaVector<PendingEdge>>(a)};
-    shard_vec.reserve(kDedupShards);
-    for (std::size_t s = 0; s < kDedupShards; ++s) {
-      ArenaVector<PendingEdge> bucket{ArenaAllocator<PendingEdge>(a)};
-      // A chunk holds kStableGrain edges spread over kDedupShards buckets;
-      // reserving the expected share avoids growth churn (the bump arena
-      // never reclaims a grown-out-of allocation).
-      bucket.reserve(kStableGrain / kDedupShards);
-      shard_vec.push_back(std::move(bucket));
-    }
-    buckets.push_back(std::move(shard_vec));
-  }
+  std::vector<std::vector<NodeId>> chunk_pins(edge_chunks);
+  std::vector<std::vector<std::vector<PendingEdge>>> buckets(
+      edge_chunks, std::vector<std::vector<PendingEdge>>(kDedupShards));
   parallel_for_grain(
       m, kStableGrain, workers,
       [&](std::size_t c, std::uint64_t begin, std::uint64_t end) {
-        // Chunk c scatters exclusively into its own arena: zero contention,
-        // and the allocation pattern is independent of the thread count.
-        Arena& chunk_arena = scratch_mem.chunk(c);
-        VectorHash hasher;
+        std::vector<NodeId>& buf = chunk_pins[c];
+        std::size_t chunk_size = 0;
         for (EdgeId e = static_cast<EdgeId>(begin);
              e < static_cast<EdgeId>(end); ++e) {
-          ArenaPins pins{ArenaAllocator<NodeId>(chunk_arena)};
-          pins.reserve(g.edge_size(e));
+          chunk_size += g.edge_size(e);
+        }
+        buf.reserve(chunk_size);
+        PinHash hasher;
+        for (EdgeId e = static_cast<EdgeId>(begin);
+             e < static_cast<EdgeId>(end); ++e) {
+          const std::size_t offset = buf.size();
           for (const NodeId v : g.pins(e)) {
-            pins.push_back(level.fine_to_coarse[v]);
+            buf.push_back(level.fine_to_coarse[v]);
           }
-          std::sort(pins.begin(), pins.end());
-          pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
-          if (pins.size() < 2) continue;
+          const auto first = buf.begin() + static_cast<std::ptrdiff_t>(offset);
+          std::sort(first, buf.end());
+          buf.erase(std::unique(first, buf.end()), buf.end());
+          const std::span<const NodeId> pins(buf.data() + offset,
+                                             buf.size() - offset);
+          if (pins.size() < 2) {
+            buf.resize(offset);
+            continue;
+          }
           const std::size_t shard = hasher(pins) % kDedupShards;
-          buckets[c][shard].push_back({std::move(pins), g.edge_weight(e)});
+          buckets[c][shard].push_back({offset,
+                                       static_cast<NodeId>(pins.size()),
+                                       g.edge_weight(e)});
         }
       });
 
@@ -332,17 +323,18 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
     tasks.reserve(kDedupShards);
     for (std::size_t s = 0; s < kDedupShards; ++s) {
       tasks.push_back([&, s]() {
-        std::unordered_map<ArenaPins, std::size_t, VectorHash> index;
+        std::unordered_map<std::span<const NodeId>, std::size_t, PinHash,
+                           PinEqual>
+            index;
         auto& edges = shard_edges[s];
         auto& weights = shard_weights[s];
         for (std::size_t c = 0; c < edge_chunks; ++c) {
-          for (auto& item : buckets[c][s]) {
-            const auto [it, inserted] =
-                index.try_emplace(std::move(item.pins), edges.size());
+          for (const PendingEdge& item : buckets[c][s]) {
+            const std::span<const NodeId> pins(
+                chunk_pins[c].data() + item.offset, item.size);
+            const auto [it, inserted] = index.try_emplace(pins, edges.size());
             if (inserted) {
-              // The output pin list escapes this function; copy it out of
-              // the arena-backed key.
-              edges.emplace_back(it->first.begin(), it->first.end());
+              edges.emplace_back(pins.begin(), pins.end());
               weights.push_back(item.weight);
             } else {
               weights[it->second] += item.weight;

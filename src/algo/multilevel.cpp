@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "hyperpart/algo/coarsening.hpp"
@@ -45,7 +46,6 @@ namespace {
 std::uint32_t coarsen_levels(const Hypergraph& g,
                              const BalanceConstraint& balance,
                              const MultilevelConfig& cfg, Rng& rng,
-                             CoarsenMemory& mem,
                              std::vector<CoarseLevel>& levels,
                              const Partition* p = nullptr,
                              std::vector<Partition>* parts = nullptr) {
@@ -60,7 +60,7 @@ std::uint32_t coarsen_levels(const Hypergraph& g,
     HP_SPAN("coarsen", "level", levels.size());
     ++draws;
     CoarseLevel next =
-        coarsen_once(*current, max_cluster, rng(), current_p, threads, &mem);
+        coarsen_once(*current, max_cluster, rng(), current_p, threads);
     if (next.graph.num_nodes() >
         static_cast<NodeId>(0.95 * current->num_nodes())) {
       break;
@@ -75,10 +75,10 @@ std::uint32_t coarsen_levels(const Hypergraph& g,
   return draws;
 }
 
-/// The ascent: projects p, a partition of the coarsest level, through
-/// every level back to g, refining on each finer graph.
+/// The ascent: projects p, a partition of the coarsest of `levels`,
+/// through every level back to g, refining on each finer graph.
 void uncoarsen_levels(const Hypergraph& g,
-                      const std::vector<CoarseLevel>& levels, Partition& p,
+                      std::span<const CoarseLevel> levels, Partition& p,
                       const BalanceConstraint& balance,
                       const MultilevelConfig& cfg) {
   for (std::size_t i = levels.size(); i-- > 0;) {
@@ -87,6 +87,31 @@ void uncoarsen_levels(const Hypergraph& g,
     const Hypergraph& fine = i == 0 ? g : levels[i - 1].graph;
     fm_refine(fine, p, balance, level_fm(cfg, fine.num_nodes()));
   }
+}
+
+/// cfg.initial_tries greedy/random attempts on h, each FM-refined; returns
+/// the cheapest, or nullopt when no attempt packs h.
+std::optional<Partition> initial_partition(const Hypergraph& h,
+                                           const BalanceConstraint& balance,
+                                           const MultilevelConfig& cfg,
+                                           Rng& rng) {
+  HP_SPAN("initial");
+  std::optional<Partition> best;
+  Weight best_cost = 0;
+  for (int attempt = 0; attempt < cfg.initial_tries; ++attempt) {
+    std::optional<Partition> candidate =
+        attempt % 2 == 0
+            ? greedy_growing_partition(h, balance, cfg.metric, rng())
+            : random_balanced_partition(h, balance, rng());
+    if (!candidate) continue;
+    const Weight c =
+        fm_refine(h, *candidate, balance, level_fm(cfg, h.num_nodes()));
+    if (!best || c < best_cost) {
+      best = std::move(candidate);
+      best_cost = c;
+    }
+  }
+  return best;
 }
 
 }  // namespace
@@ -101,11 +126,7 @@ std::optional<Partition> multilevel_partition_cached(
   MultilevelHierarchy local;
   MultilevelHierarchy& hier = hierarchy ? *hierarchy : local;
   if (hier.empty()) {
-    // One scratch pool for the whole descent: every level below the first
-    // bump-allocates into the blocks the level above already fetched.
-    CoarsenMemory coarsen_mem;
-    hier.rng_draws +=
-        coarsen_levels(g, balance, cfg, rng, coarsen_mem, hier.levels);
+    hier.rng_draws += coarsen_levels(g, balance, cfg, rng, hier.levels);
   } else {
     // Reuse: the cached levels ARE the coarsening a fresh run would have
     // produced (callers guarantee graph + capacity + seed match). Replay
@@ -116,35 +137,30 @@ std::optional<Partition> multilevel_partition_cached(
     HP_COUNTER_ADD("multilevel.hierarchy_reuses", 1);
   }
   const std::vector<CoarseLevel>& levels = hier.levels;
-  const Hypergraph& coarsest = levels.empty() ? g : levels.back().graph;
   HP_COUNTER_ADD("multilevel.runs", 1);
   HP_COUNTER_ADD("multilevel.levels",
                  static_cast<std::int64_t>(levels.size()));
-  HP_GAUGE_MAX("multilevel.coarsest_nodes", coarsest.num_nodes());
+  HP_GAUGE_MAX("multilevel.coarsest_nodes",
+               levels.empty() ? g.num_nodes()
+                              : levels.back().graph.num_nodes());
 
   // --- Initial partitioning on the coarsest level --------------------------
+  // Coarse clusters weigh up to capacity/3, so a coarse level may admit no
+  // balanced packing that the tries find although g does: then the tries
+  // repeat one level finer, up to g itself, and the ascent starts from the
+  // level that packed.
+  std::size_t top = levels.size();
   std::optional<Partition> best;
-  Weight best_cost = 0;
-  {
-    HP_SPAN("initial");
-    for (int attempt = 0; attempt < cfg.initial_tries; ++attempt) {
-      std::optional<Partition> candidate =
-          attempt % 2 == 0
-              ? greedy_growing_partition(coarsest, balance, cfg.metric, rng())
-              : random_balanced_partition(coarsest, balance, rng());
-      if (!candidate) continue;
-      const Weight c = fm_refine(coarsest, *candidate, balance,
-                                 level_fm(cfg, coarsest.num_nodes()));
-      if (!best || c < best_cost) {
-        best = std::move(candidate);
-        best_cost = c;
-      }
-    }
+  while (true) {
+    best = initial_partition(top == 0 ? g : levels[top - 1].graph, balance,
+                             cfg, rng);
+    if (best || top == 0) break;
+    --top;
   }
   if (!best) return std::nullopt;
 
   // --- Uncoarsening + refinement -------------------------------------------
-  uncoarsen_levels(g, levels, *best, balance, cfg);
+  uncoarsen_levels(g, std::span(levels).first(top), *best, balance, cfg);
   return best;
 }
 
@@ -160,12 +176,10 @@ Weight vcycle_refine(const Hypergraph& g, Partition& p,
   Rng rng{cfg.seed ^ 0x5ec7c1e5ULL};
   Weight result = fm_refine(g, p, balance, level_fm(cfg, g.num_nodes()));
 
-  // Scratch pool shared by every coarsening level of every cycle.
-  CoarsenMemory coarsen_mem;
   for (int cycle = 0; cycle < cycles; ++cycle) {
     std::vector<CoarseLevel> levels;
     std::vector<Partition> parts;  // p induced on each level
-    coarsen_levels(g, balance, cfg, rng, coarsen_mem, levels, &p, &parts);
+    coarsen_levels(g, balance, cfg, rng, levels, &p, &parts);
     if (levels.empty()) break;
 
     Partition refined = std::move(parts.back());

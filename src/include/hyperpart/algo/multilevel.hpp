@@ -35,8 +35,10 @@ struct MultilevelConfig {
 /// thread count, so partitions stay bit-identical across thread counts.
 inline constexpr NodeId kSyncFmMinNodes = 25000;
 
-/// Partition g into balance.k() parts. Returns nullopt when no feasible
-/// partition is found (capacity too tight for the node weights).
+/// Partition g into balance.k() parts. When no initial try packs the
+/// coarsest level, the tries repeat one level finer, up to g itself.
+/// Returns nullopt when no try packs g (capacity too tight for the node
+/// weights).
 [[nodiscard]] std::optional<Partition> multilevel_partition(
     const Hypergraph& g, const BalanceConstraint& balance,
     const MultilevelConfig& cfg = {});

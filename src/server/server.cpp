@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -61,6 +62,19 @@ namespace {
   return v->as_int();
 }
 
+/// A JSON integer in [0, max of T] — a node, net or part id — or nullopt
+/// when v is not integral, negative, or does not fit T (a cast would alias
+/// a real id).
+template <typename T>
+[[nodiscard]] std::optional<T> id_value(const json::Value& v) {
+  if (!v.is_number() || !v.is_integral() || v.as_int() < 0 ||
+      static_cast<std::uint64_t>(v.as_int()) >
+          std::numeric_limits<T>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<T>(v.as_int());
+}
+
 struct MutatorSlot {
   GraphSession* session = nullptr;
   ~MutatorSlot() {
@@ -104,20 +118,19 @@ bool parse_weight_updates(const json::Value& req, const char* key,
     return false;
   }
   for (const json::Value& pair : v->as_array()) {
-    if (!pair.is_array() || pair.as_array().size() != 2 ||
-        !pair.as_array()[0].is_number() || !pair.as_array()[1].is_number()) {
+    if (!pair.is_array() || pair.as_array().size() != 2) {
       err = std::string(key) + " entries must be [id, weight] pairs";
       return false;
     }
-    WeightUpdate u;
-    const std::int64_t id = pair.as_array()[0].as_int();
-    if (id < 0) {
-      err = std::string(key) + ": negative id";
+    const auto id = id_value<std::uint32_t>(pair.as_array()[0]);
+    const json::Value& weight = pair.as_array()[1];
+    if (!id || !weight.is_number() || !weight.is_integral()) {
+      err = std::string(key) +
+            " entries need a 32-bit unsigned integer id and an integer "
+            "weight";
       return false;
     }
-    u.id = static_cast<std::uint32_t>(id);
-    u.weight = pair.as_array()[1].as_int();
-    out.push_back(u);
+    out.push_back({*id, weight.as_int()});
   }
   return true;
 }
@@ -130,11 +143,12 @@ bool parse_pin_array(const json::Value& v, const char* ctx,
     return false;
   }
   for (const json::Value& p : v.as_array()) {
-    if (!p.is_number() || !p.is_integral() || p.as_int() < 0) {
-      err = std::string(ctx) + ": pins must be non-negative integers";
+    const auto pin = id_value<NodeId>(p);
+    if (!pin) {
+      err = std::string(ctx) + ": pins must be 32-bit unsigned integers";
       return false;
     }
-    pins.push_back(static_cast<NodeId>(p.as_int()));
+    pins.push_back(*pin);
   }
   return true;
 }
@@ -151,13 +165,14 @@ bool parse_structural(const json::Value& req, std::vector<StructuralDelta>& out,
       return false;
     }
     for (const json::Value& id : v->as_array()) {
-      if (!id.is_number() || !id.is_integral() || id.as_int() < 0) {
-        err = "remove_nets entries must be non-negative net ids";
+      const auto net = id_value<EdgeId>(id);
+      if (!net) {
+        err = "remove_nets entries must be 32-bit unsigned net ids";
         return false;
       }
       StructuralDelta d;
       d.kind = StructuralDelta::Kind::kRemoveNet;
-      d.net = static_cast<EdgeId>(id.as_int());
+      d.net = *net;
       out.push_back(std::move(d));
     }
   }
@@ -170,17 +185,18 @@ bool parse_structural(const json::Value& req, std::vector<StructuralDelta>& out,
       return false;
     }
     for (const json::Value& o : v->as_array()) {
-      const json::Value* net = o.is_object() ? o.find("net") : nullptr;
+      const json::Value* net_v = o.is_object() ? o.find("net") : nullptr;
       const json::Value* pins = o.is_object() ? o.find("pins") : nullptr;
-      if (!net || !net->is_number() || !net->is_integral() ||
-          net->as_int() < 0 || !pins) {
+      const auto net =
+          net_v ? id_value<EdgeId>(*net_v) : std::optional<EdgeId>{};
+      if (!net || !pins) {
         err = std::string(key) +
-              " entries need a non-negative net id and a pins array";
+              " entries need a 32-bit unsigned net id and a pins array";
         return false;
       }
       StructuralDelta d;
       d.kind = kind;
-      d.net = static_cast<EdgeId>(net->as_int());
+      d.net = *net;
       if (!parse_pin_array(*pins, key, d.pins, err)) return false;
       out.push_back(std::move(d));
     }
@@ -509,9 +525,11 @@ std::string Server::handle_request(const std::string& payload,
     bool bad = false;
     const auto k = int_field(req, "k", 2, &bad);
     const auto seed = int_field(req, "seed", 1, &bad);
-    if (bad || !k || *k < 2 || !seed) {
-      return json::dump(error_response("k must be an integer >= 2 and seed "
-                                       "an integer"));
+    if (bad || !k || *k < 2 ||
+        static_cast<std::uint64_t>(*k) > std::numeric_limits<PartId>::max() ||
+        !seed) {
+      return json::dump(error_response("k must be an integer in [2, 2^32) "
+                                       "and seed an integer"));
     }
     SessionConfig cfg;
     cfg.k = static_cast<PartId>(*k);

@@ -4,15 +4,18 @@
 // to a single move, rng draw or engine choice changes it. They pin the
 // descent, the ascent, the per-level FM engine choice and the rng streams
 // of multilevel_partition, the cached-hierarchy path, vcycle_refine, the
-// streaming stack and annealing.
+// streaming stack and annealing. CoarsenGolden pins one coarsen_once level
+// directly: the coarse graph's content hash and the fine→coarse map.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "hyperpart/algo/annealing.hpp"
+#include "hyperpart/algo/coarsening.hpp"
 #include "hyperpart/algo/greedy.hpp"
 #include "hyperpart/algo/multilevel.hpp"
 #include "hyperpart/io/generators.hpp"
@@ -20,6 +23,7 @@
 #include "hyperpart/stream/restream_refiner.hpp"
 #include "hyperpart/stream/stream_partitioner.hpp"
 #include "hyperpart/util/rng.hpp"
+#include "hyperpart/util/thread_pool.hpp"
 #include "hyperpart/workload/workload.hpp"
 
 namespace hp {
@@ -132,6 +136,63 @@ TEST(MultilevelGolden, CachedHierarchyEqualsFreshRun) {
   f.mix(hier.rng_draws);
   f.partition(*reused);
   EXPECT_EQ(f.h, 18116277530823893422ULL);
+}
+
+/// One coarsen_once level of g at 1 and 4 threads (cluster cap: a third
+/// of the k = 8 capacity, as in the multilevel descent); returns the
+/// coarse graph's content hash folded with fine_to_coarse, and checks the
+/// two thread counts agree.
+std::uint64_t coarsen_fold(const Hypergraph& g,
+                           const Partition* restrict_parts = nullptr) {
+  const auto balance = BalanceConstraint::for_graph(g, 8, 0.05, true);
+  const Weight cap = std::max<Weight>(1, balance.capacity() / 3);
+  std::uint64_t first = 0;
+  for (const unsigned threads : {1u, 4u}) {
+    const CoarseLevel level = coarsen_once(g, cap, 11, restrict_parts, threads);
+    Fold f;
+    f.mix(level.graph.content_hash());
+    for (const NodeId c : level.fine_to_coarse) f.mix(c);
+    if (threads == 1) {
+      first = f.h;
+    } else {
+      EXPECT_EQ(f.h, first) << threads;
+    }
+  }
+  return first;
+}
+
+Hypergraph workload_graph(const std::string& spec_text, NodeId target) {
+  workload::WorkloadSpec spec = workload::parse_spec(spec_text);
+  spec.target_nodes = target;
+  return workload::generate(spec).graph;
+}
+
+// Every instance has m > 2 * kStableGrain edges, so the dedup scatter runs
+// over several edge chunks into every shard.
+TEST(CoarsenGolden, NetlistGlobalNets) {
+  const Hypergraph g = workload_graph("netlist:rent", 20000);
+  ASSERT_GT(g.num_edges(), 2 * kStableGrain);
+  EXPECT_EQ(coarsen_fold(g), 13176363876193187938ULL);
+}
+
+TEST(CoarsenGolden, PowerlawZipf) {
+  const Hypergraph g = workload_graph("powerlaw:zipf", 20000);
+  ASSERT_GT(g.num_edges(), 2 * kStableGrain);
+  EXPECT_EQ(coarsen_fold(g), 1285879499568844518ULL);
+}
+
+TEST(CoarsenGolden, RestrictedToParts) {
+  const Hypergraph g = weighted_instance(16000, 24000, 48);
+  const auto balance = BalanceConstraint::for_graph(g, 4, 0.05, true);
+  const auto p = random_balanced_partition(g, balance, 5);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(coarsen_fold(g, &*p), 8503667026962325041ULL);
+}
+
+TEST(CoarsenGolden, Edgeless) {
+  Hypergraph g = Hypergraph::from_edges(500, {});
+  random_node_weights(g, 1, 4, 49);
+  EXPECT_EQ(coarsen_fold(g), 17975247523683843361ULL);
 }
 
 /// Folds vcycle_refine over k in {2, 4, 8} and 1-3 cycles from a random

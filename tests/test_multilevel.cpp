@@ -8,6 +8,7 @@
 #include "hyperpart/algo/greedy.hpp"
 #include "hyperpart/algo/recursive_bisection.hpp"
 #include "hyperpart/io/generators.hpp"
+#include "hyperpart/workload/workload.hpp"
 
 namespace hp {
 namespace {
@@ -73,6 +74,26 @@ TEST(Multilevel, DeterministicForSeed) {
   ASSERT_TRUE(a && b);
   EXPECT_EQ(cost(g, *a, CostMetric::kConnectivity),
             cost(g, *b, CostMetric::kConnectivity));
+}
+
+TEST(Multilevel, RetriesInitialPartitioningOnFinerLevels) {
+  // The coarsest level's clusters weigh up to capacity/3, and on this
+  // instance no initial try packs it at seeds 2 and 3, although the input
+  // itself packs. The tries repeat one level finer until one succeeds.
+  workload::WorkloadSpec spec = workload::parse_spec("spmv:banded");
+  spec.target_nodes = 32000;
+  spec.seed = 5;
+  const Hypergraph g = workload::generate(spec).graph;
+  const auto balance = BalanceConstraint::for_graph(g, 8, 0.05, true);
+  ASSERT_TRUE(random_balanced_partition(g, balance, 1).has_value());
+  for (const std::uint64_t seed : {2u, 3u}) {
+    MultilevelConfig cfg;
+    cfg.seed = seed;
+    const auto p = multilevel_partition(g, balance, cfg);
+    ASSERT_TRUE(p.has_value()) << seed;
+    EXPECT_TRUE(p->complete());
+    EXPECT_TRUE(balance.satisfied(g, *p));
+  }
 }
 
 TEST(RecursivePartition, LeafNumberingAndBalance) {

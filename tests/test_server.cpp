@@ -887,6 +887,53 @@ TEST(ServerTest, StructuralUpdateAndVersionPinningOverSocket) {
   ::close(fd);
 }
 
+TEST(ServerTest, OutOfRangeAndNonIntegralNumbersAreRejected) {
+  // Ids, pins and k of 2^32 or more must not be narrowed to 32 bits (where
+  // they would alias real ids: net 2^32 is net 0), and ids and weights
+  // must be integers — 1.5 is not 1, and 1e300 has no int64 value.
+  RunningServer rs;
+  const std::string graph_path = rs.write_graph();
+  const int fd = connect_unix(rs.sock);
+  ASSERT_GE(fd, 0);
+  json::Value load = req("load");
+  load.set("path", json::Value(graph_path));
+  const auto loaded = rpc(fd, load);
+  ASSERT_TRUE(ok_of(loaded)) << error_of(loaded);
+  const std::string graph =
+      json::dump(json::Value(loaded->find("graph")->as_string()));
+
+  const auto send = [&](const std::string& op, const std::string& fields) {
+    const auto r = round_trip(
+        fd, "{\"op\":\"" + op + "\",\"graph\":" + graph + "," + fields + "}");
+    return r ? json::parse(*r) : std::optional<json::Value>{};
+  };
+  for (const std::string fields : {
+           R"("remove_nets":[4294967296])",
+           R"("remove_pins":[{"net":4294967296,"pins":[0]}])",
+           R"("add_pins":[{"net":0,"pins":[4294967297]}])",
+           R"("add_nets":[{"pins":[0,4294967297]}])",
+           R"("node_weights":[[4294967296,5]])",
+           R"("edge_weights":[[4294967296,5]])",
+           R"("node_weights":[[1.5,5]])",
+           R"("node_weights":[[0,1.5]])",
+           R"("edge_weights":[[0,1e300]])",
+       }) {
+    const auto r = send("update", fields);
+    ASSERT_TRUE(r.has_value()) << fields;
+    EXPECT_FALSE(ok_of(r)) << fields;
+  }
+  const auto huge_k = send("partition", R"("k":4294967298)");
+  ASSERT_TRUE(huge_k.has_value());
+  EXPECT_FALSE(ok_of(huge_k));
+  EXPECT_NE(error_of(huge_k).find("k must be"), std::string::npos);
+
+  // No rejected frame changed the graph.
+  const auto part = send("partition", R"("k":2)");
+  ASSERT_TRUE(ok_of(part)) << error_of(part);
+  EXPECT_EQ(part->find("version")->as_int(), 0);
+  ::close(fd);
+}
+
 TEST(ServerTest, RefusesToStartWhenSocketPathIsNotASocket) {
   TempDir dir;
   const fs::path path = dir.path / "not_a.sock";
